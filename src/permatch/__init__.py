@@ -66,11 +66,9 @@ from .matchings import (
     find_matching,
     induced_edge_action,
     is_2arc_transitive,
-    is_2transitive_matching,
     is_arc_transitive,
     is_locally_primitive,
     is_locally_symmetric,
-    is_permutable,
     matching_report,
     matching_stabilizer,
     normalize_mode,

@@ -310,6 +310,11 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         blocks = json.load(fh)
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("partition file must hold a JSON list of vertex lists")
+    # bool is a subclass of int, but true/false are not vertices
+    bad = [v for b in blocks for v in b if type(v) is not int or not 0 <= v < g.n]
+    if bad:
+        raise ValueError("partition entry %s is not a vertex 0..%d"
+                         % (json.dumps(bad[0]), g.n - 1))
     group = _read_group(args.group, g) if args.group else None
     res = quotient_by_partition(g, [tuple(b) for b in blocks], group)
     _emit("quotient", {"graph": args.graph, "partition": args.partition,

@@ -163,86 +163,59 @@ def matching_report(g: Graph, matching: Matching,
     )
 
 
-def is_permutable(g: Graph, matching: Matching,
-                  group: PermGroup | None = None) -> MatchingReport:
-    return matching_report(g, matching, group)
-
-
-def is_2transitive_matching(g: Graph, matching: Matching,
-                            group: PermGroup | None = None) -> MatchingReport:
-    return matching_report(g, matching, group)
-
-
 def _passes(report: MatchingReport, mode: str) -> bool:
     if mode == MODE_PERMUTABLE:
         return report.permutable
     return report.two_transitive
 
 
-def _edge_orbit_reps(group: PermGroup, candidates: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """One lexicographically-least representative per group orbit on the
-    candidate edges (which must be closed under the group)."""
-    cand = {frozenset(e) for e in candidates}
-    reps = []
-    seen: set[frozenset[int]] = set()
-    for e in sorted(candidates):
-        key = frozenset(e)
-        if key in seen:
-            continue
-        reps.append(e)
-        orbit = {key}
-        queue = [key]
-        while queue:
-            cur = queue.pop()
-            for p in group.generators:
-                im = frozenset(p.images[x] for x in cur)
-                if im not in orbit:
-                    if im not in cand:
-                        raise AssertionError("candidate set not orbit-closed")
-                    orbit.add(im)
-                    queue.append(im)
-        seen |= orbit
-    return reps
+Edge = tuple[int, int]  # (u, v) with u < v
 
 
-def _edge_orbits(group: PermGroup, edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Orbits of the group on the given edges, each sorted, ordered by least
-    member."""
-    remaining = {frozenset(e) for e in edges}
+def _edge_orbits(group: PermGroup, edges: list[Edge]) -> list[dict[Edge, tuple[Edge, int] | None]]:
+    """Orbits of the group on the given edges, which must be closed under
+    it, ordered by least member.
+
+    Each orbit is a Schreier tree: a dict in discovery order, starting at
+    the orbit's least edge (mapped to None), that maps every other edge to
+    (parent, k), the edge being the parent's image under generator k.
+    """
+    edge_set = set(edges)
+    gens = [p.images for p in group.generators]
+    seen: set[Edge] = set()
     out = []
     for e in sorted(edges):
-        key = frozenset(e)
-        if key not in remaining:
+        if e in seen:
             continue
-        orbit = {key}
-        queue = [key]
-        while queue:
-            cur = queue.pop()
-            for p in group.generators:
-                im = frozenset(p.images[x] for x in cur)
-                if im not in orbit:
-                    orbit.add(im)
-                    queue.append(im)
-        remaining -= orbit
-        out.append(sorted(tuple(sorted(f)) for f in orbit))
+        tree: dict[Edge, tuple[Edge, int] | None] = {e: None}
+        queue = [e]
+        for cur in queue:
+            u, v = cur
+            for k, im in enumerate(gens):
+                a, b = im[u], im[v]
+                f = (a, b) if a < b else (b, a)
+                if f not in tree:
+                    if f not in edge_set:
+                        raise AssertionError("edge set not closed under the group")
+                    tree[f] = (cur, k)
+                    queue.append(f)
+        seen.update(tree)
+        out.append(tree)
     return out
 
 
-def _pair_orbit(group: PermGroup, e: tuple[int, int],
-                f: tuple[int, int]) -> set[tuple[frozenset[int], frozenset[int]]]:
-    """The group orbit of the ordered pair of disjoint edges (e, f)."""
-    start = (frozenset(e), frozenset(f))
-    orbit = {start}
-    queue = [start]
-    while queue:
-        a, b = queue.pop()
-        for p in group.generators:
-            im = (frozenset(p.images[x] for x in a),
-                  frozenset(p.images[x] for x in b))
-            if im not in orbit:
-                orbit.add(im)
-                queue.append(im)
-    return orbit
+def _in_pair_orbit(inv: dict[Edge, tuple[int, ...]], e1_orbit: dict,
+                   a: Edge, b: Edge) -> bool:
+    """Is (a, b) in the group orbit of the ordered edge pair (e0, e1)?
+
+    inv[a] holds the inverse images of a group element t_a sending e0 to a,
+    and e1_orbit is the orbit of e1 under the setwise stabilizer of e0.
+    Every element sending e0 to a is h * t_a with h fixing e0, so the test
+    is whether b^(t_a^-1) lies in e1_orbit.
+    """
+    ia = inv[a]
+    x, y = ia[b[0]], ia[b[1]]
+    return ((x, y) if x < y else (y, x)) in e1_orbit
 
 
 def find_matching(g: Graph, group: PermGroup | None, m: int,
@@ -252,10 +225,14 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
 
     Exhaustive up to group equivalence: each partial matching is extended by
     one representative edge per orbit of its setwise stabilizer on the
-    remaining candidates.  In either mode the induced action swaps any two
-    matching edges, so every edge of a witness lies in one edge orbit and
-    every ordered pair of its edges lies in one (symmetric) orbit on disjoint
-    edge pairs; candidates are pruned accordingly.
+    remaining candidates, the least edge of that orbit.  In either mode the
+    induced action swaps any two matching edges, so every edge of a witness
+    lies in one edge orbit of the group, and with (e0, e1) its first two
+    edges, every ordered pair of its edges lies in the group orbit of
+    (e0, e1), which must contain (e1, e0); candidates are pruned
+    accordingly.  That orbit is never listed: membership is tested exactly
+    through a transversal of the group on the edge orbit of e0 and the orbit
+    of e1 under the setwise stabilizer of e0 (see _in_pair_orbit).
     """
     mode = normalize_mode(mode)
     if m < 1:
@@ -263,46 +240,46 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
     group = _group_or_aut(g, group)
     if 2 * m > g.n:
         return None
-    visited: set[frozenset[frozenset[int]]] = set()
+    visited: set[frozenset[Edge]] = set()
+    gens_inv = [p.inverse().images for p in group.generators]
 
-    def extend(partial: list[tuple[int, int]], scope: list[tuple[int, int]],
-               pair_class: set | None) -> Matching | None:
+    def extend(partial: list[Edge], orbit: dict, inv: dict,
+               e1_orbit: dict | None) -> Matching | None:
         if len(partial) == m:
             cand = Matching(partial)
             report = matching_report(g, cand, group)
             return cand if _passes(report, mode) else None
-        key = frozenset(frozenset(e) for e in partial)
+        key = frozenset(partial)
         if key in visited:
             return None
         visited.add(key)
         stab = matching_stabilizer(g, group, Matching(partial)) if len(partial) > 1 \
             else group.setwise_stabilizer(set(partial[0]))
         used = {x for e in partial for x in e}
-        candidates = []
-        for e in scope:
-            if e[0] in used or e[1] in used:
-                continue
-            fs = frozenset(e)
-            if pair_class is not None and any(
-                    (frozenset(f), fs) not in pair_class for f in partial):
-                continue
-            candidates.append(e)
+        candidates = [e for e in orbit if e[0] not in used and e[1] not in used
+                      and (e1_orbit is None or all(
+                          _in_pair_orbit(inv, e1_orbit, f, e) for f in partial))]
         if len(candidates) < m - len(partial):
             return None
-        for e in _edge_orbit_reps(stab, candidates):
-            if len(partial) == 1:
-                pc = _pair_orbit(group, partial[0], e)
-                if (frozenset(e), frozenset(partial[0])) not in pc:
-                    continue  # no group element can ever swap these two edges
-            else:
-                pc = pair_class
-            result = extend(partial + [e], scope, pc)
+        for sub in _edge_orbits(stab, candidates):
+            e = next(iter(sub))
+            if len(partial) == 1 and not _in_pair_orbit(inv, sub, e, partial[0]):
+                continue  # no group element can ever swap these two edges
+            result = extend(partial + [e], orbit, inv,
+                            sub if len(partial) == 1 else e1_orbit)
             if result is not None:
                 return result
         return None
 
-    for orbit in _edge_orbits(group, list(g.edges())):
-        result = extend([orbit[0]], orbit, None)
+    for orbit in _edge_orbits(group, g.edges()):
+        inv: dict[Edge, tuple[int, ...]] = {}
+        for a, link in orbit.items():  # parents come before their children
+            if link is None:
+                inv[a] = tuple(range(g.n))
+            else:
+                parent, k = link
+                inv[a] = tuple(map(inv[parent].__getitem__, gens_inv[k]))
+        result = extend([next(iter(orbit))], orbit, inv, None)
         if result is not None:
             return result
     return None

@@ -9,6 +9,7 @@ reproducible.  Orders are plain Python ints, so they never overflow.
 from __future__ import annotations
 
 import math
+import random
 import re
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -206,40 +207,50 @@ def _append_gen(levels: list[_Level], p: Perm, j: int) -> int:
     return j
 
 
-def _extend_level(levels: list[_Level], i: int) -> int | None:
-    """Process unfinished Schreier pairs at level i.
+def _close_orbit(levels: list[_Level], i: int) -> Iterator[tuple[Perm, Perm, int]]:
+    """Grow the transversal of level i to the orbit of its base point.
 
     Generators of every level >= i act on this orbit (they fix the earlier
-    base points, not this one's orbit).  Transversal entries are never
-    overwritten, so pairs already processed stay valid.  Returns the level
-    where a residue got added, or None once level i is complete.
+    base points, not this one's orbit).  Each (point, generator) pair is
+    walked once in the level's life: d -> e stores u_d * g as e's entry if
+    e is new, and is yielded as (u_d, g, e) otherwise, for the Schreier
+    generator u_d * g * u_e^-1.  Entries are never overwritten.
     """
     lvl = levels[i]
+    gens = [g for l in levels[i:] for g in l.gens]
     while True:
         progressed = False
-        gens = [g for l in levels[i:] for g in l.gens]
         for d in list(lvl.transversal.keys()):
             u = lvl.transversal[d]
             for g in gens:
-                if (d, g) in lvl._done:
+                pair = (d, id(g))  # the level's generators outlive its pairs
+                if pair in lvl._done:
                     continue
                 progressed = True
-                lvl._done.add((d, g))
+                lvl._done.add(pair)
                 e = g.images[d]
-                ue = lvl.transversal.get(e)
-                if ue is None:
+                if e in lvl.transversal:
+                    yield u, g, e
+                else:
                     ue = u * g
                     lvl.transversal[e] = ue
                     lvl.inverse[e] = ue.inverse()
-                    continue  # u * g equals the new transversal entry
-                schreier = u * g * lvl.inverse[e]
-                if schreier.is_identity():
-                    continue
-                residue, j = _sift(levels, schreier, i + 1)
-                if not residue.is_identity():
-                    return _append_gen(levels, residue, j)
         if not progressed:
-            return None
+            return
+
+
+def _extend_level(levels: list[_Level], i: int) -> int | None:
+    """Close the orbit at level i and sift its Schreier generators; return
+    the level where a residue got added, or None once level i is complete."""
+    lvl = levels[i]
+    for u, g, e in _close_orbit(levels, i):
+        schreier = u * g * lvl.inverse[e]
+        if schreier.is_identity():
+            continue
+        residue, j = _sift(levels, schreier, i + 1)
+        if not residue.is_identity():
+            return _append_gen(levels, residue, j)
+    return None
 
 
 def _complete_chain(levels: list[_Level], start: int) -> None:
@@ -287,16 +298,19 @@ class PermGroup:
             raise ValueError("base hint point out of range")
         self.degree = degree
         self.generators = gens
-        self._hint = tuple(base_hint)
-        self._levels = _build_chain(degree, gens, self._hint)
-
-    @classmethod
-    def from_generators(cls, generators: Iterable[Perm], degree: int | None = None) -> "PermGroup":
-        return cls(generators, degree)
+        self._levels = _build_chain(degree, gens, tuple(base_hint))
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         return cls((), degree)
+
+    @classmethod
+    def _from_chain(cls, generators: Iterable[Perm], degree: int,
+                    levels: list[_Level]) -> "PermGroup":
+        # internal: levels must be a complete chain of <generators>
+        group = object.__new__(cls)
+        group.degree, group.generators, group._levels = degree, tuple(generators), levels
+        return group
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -333,9 +347,34 @@ class PermGroup:
         return self.contains(p)
 
     def rebase(self, base_hint: Sequence[int]) -> "PermGroup":
-        """The same group, rebuilt so its base starts with base_hint."""
-        gens = self.strong_generators or self.generators
-        return PermGroup(gens, self.degree, base_hint=tuple(base_hint))
+        """The same group and generators, with a base starting with base_hint.
+
+        Random Schreier-Sims with known order (Seress 2003, section 4.5): a
+        product of one random transversal entry per level of this complete
+        chain, deepest first, is a uniformly random element.  Each is sifted
+        into levels pinned to base_hint; a residue becomes a strong generator
+        and grows the orbits of its level and every earlier one by closure
+        alone.  The loop stops when the product of the basic orbit lengths
+        equals self.order(), which proves the new chain complete.  The random
+        source has a fixed seed, so a call always builds the same chain.
+        """
+        if any(not (0 <= b < self.degree) for b in base_hint):
+            raise ValueError("base hint point out of range")
+        levels = [_Level(b, self.degree) for b in base_hint]
+        order = self.order()
+        entries = [list(lvl.transversal.values()) for lvl in reversed(self._levels)]
+        rng = random.Random(0x5EED)
+        while math.prod(len(lvl.transversal) for lvl in levels) < order:
+            g = rng.choice(entries[0])
+            for us in entries[1:]:
+                g = g * rng.choice(us)
+            residue, j = _sift(levels, g)
+            if not residue.is_identity():
+                _append_gen(levels, residue, j)
+                for i in range(j + 1):
+                    for _ in _close_orbit(levels, i):
+                        pass
+        return PermGroup._from_chain(self.generators, self.degree, levels)
 
     def orbit(self, point: int) -> tuple[int, ...]:
         if not (0 <= point < self.degree):
@@ -365,12 +404,8 @@ class PermGroup:
         pts = tuple(points)
         if not pts:
             return self
-        rebased = self.rebase(pts)
-        gens = []
-        for lvl in rebased._levels[len(pts):]:
-            gens.extend(lvl.gens)
-        tail = tuple(lvl.point for lvl in rebased._levels[len(pts):])
-        return PermGroup(gens, self.degree, base_hint=tail)
+        tail = self.rebase(pts)._levels[len(pts):]  # a complete chain of its own
+        return PermGroup._from_chain([g for lvl in tail for g in lvl.gens], self.degree, tail)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer((point,))
@@ -444,13 +479,14 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
 
 def find_elements(group: PermGroup, mappings: Sequence[tuple[int, int]],
                   test: Callable[[Perm], bool] | None = None) -> Iterator[Perm]:
-    """Yield every element sending point p to q for each (p, q), in a fixed
-    deterministic order, optionally filtered by an extra leaf test."""
+    """Yield every element sending point p to q for each (p, q), optionally
+    filtered by an extra leaf test, in lexicographic order of images: the
+    base is the mapped points, then all others in increasing order."""
     pts = [p for p, _ in mappings]
     target = {p: q for p, q in mappings}
     if len(target) != len(pts):
         raise ValueError("duplicate points in mappings")
-    rebased = group.rebase(pts)
+    rebased = group.rebase(pts + [x for x in range(group.degree) if x not in target])
     levels = rebased._levels
     k = len(levels)
 
@@ -467,7 +503,8 @@ def find_elements(group: PermGroup, mappings: Sequence[tuple[int, int]],
                 return
             yield from rec(i + 1, u * w, winv * lvl.inverse[d])
         else:
-            for d in sorted(lvl.transversal):
+            # base[i] goes to w(d), so this visits its images in order
+            for d in sorted(lvl.transversal, key=w.images.__getitem__):
                 yield from rec(i + 1, lvl.transversal[d] * w, winv * lvl.inverse[d])
 
     ident = Perm.identity(group.degree)
@@ -566,14 +603,16 @@ def is_primitive(group: PermGroup, domain: Sequence[int] | None = None) -> bool:
 def induced_action(group: PermGroup, cells: Sequence[Iterable[int]]) -> tuple[PermGroup, int]:
     """The action of the group on a list of cells it permutes.
 
-    Returns (image group on cell indices, kernel order).  Raises if some
-    generator fails to map every cell onto a cell.
+    Returns (image group on cell indices, kernel order).  The image group's
+    generators are the distinct non-identity images of the group's
+    generators, in first-seen order.  Raises if some generator fails to map
+    every cell onto a cell.
     """
     cell_sets = [frozenset(c) for c in cells]
     index = {c: i for i, c in enumerate(cell_sets)}
     if len(index) != len(cell_sets):
         raise ValueError("duplicate cells")
-    img_gens = []
+    img_gens: dict[Perm, None] = {}
     for g in group.generators:
         images = []
         for c in cell_sets:
@@ -582,8 +621,10 @@ def induced_action(group: PermGroup, cells: Sequence[Iterable[int]]) -> tuple[Pe
             if j is None:
                 raise ValueError("generator %r does not permute the cells" % g)
             images.append(j)
-        img_gens.append(Perm(images))
-    image = PermGroup(img_gens, degree=len(cell_sets))
+        img = Perm(images)
+        if not img.is_identity():
+            img_gens[img] = None
+    image = PermGroup(list(img_gens), degree=len(cell_sets))
     kernel_order = group.order() // image.order()
     return image, kernel_order
 

@@ -242,6 +242,16 @@ def test_quotient_command(tmp_path, capsys):
     code, _, err = run(capsys, ["quotient", path, "--partition", str(notlist)])
     assert code == 2 and "error:" in err
 
+    c4 = write_graph(tmp_path, cycle(4), "c4.g6")
+    for name, blocks in [("string", [[0, 1], [2, "3"]]),
+                         ("bool", [[0, True], [2, 3]]),
+                         ("range", [[0, 1], [2, 4]]),
+                         ("negative", [[0, 1], [2, -1]])]:
+        entry = tmp_path / ("%s.json" % name)
+        entry.write_text(json.dumps(blocks), encoding="ascii")
+        code, _, err = run(capsys, ["quotient", c4, "--partition", str(entry)])
+        assert code == 2 and "error:" in err and "is not a vertex" in err, name
+
 
 def test_arcs_command(tmp_path, capsys):
     path = write_graph(tmp_path, petersen())

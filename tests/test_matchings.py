@@ -35,6 +35,7 @@ from permatch import (
     matching_report,
     matching_stabilizer,
     normalize_mode,
+    odd_graph,
     path_graph,
     petersen,
 )
@@ -151,6 +152,15 @@ def test_report_json_shape():
     assert d["induced_order"] == 6 and d["permutable"] and d["two_transitive"]
     assert all(sorted(p) == [0, 1, 2] for p in d["induced_generators"])
 
+    # the spokes of O_3 under the generators of its S_5 action: several
+    # stabilizer generators induce the same permutation or none
+    og, og_gens = odd_graph(3)
+    spokes = Matching([(2, 3), (1, 4), (0, 5)])
+    spoke_rep = matching_report(og, spokes, PermGroup(og_gens, degree=og.n))
+    for report in (d, spoke_rep.to_json_dict()):
+        gens = [tuple(p) for p in report["induced_generators"]]
+        assert (0, 1, 2) not in gens and len(set(gens)) == len(gens)
+
 
 def test_report_rejects_non_matchings():
     with pytest.raises(ValueError):
@@ -253,7 +263,7 @@ def test_find_matching_witnesses():
 
 
 def test_find_matching_against_naive_scan():
-    suite = [
+    graphs = [
         complete(2),
         cycle(3), cycle(4), cycle(5), cycle(6), cycle(7), cycle(8),
         complete(4), complete(5), complete(6),
@@ -261,9 +271,14 @@ def test_find_matching_against_naive_scan():
         complement(Graph(6, [(0, 1), (2, 3), (4, 5)])),
         hypercube(3),
         prism3(),
+        petersen(),
+        cycle(9).apply_perm(Perm([4, 7, 0, 8, 2, 5, 1, 3, 6])),
     ]
-    for g in suite:
-        grp = automorphism_group(g)
+    suite = [(g, automorphism_group(g)) for g in graphs]
+    # rotations alone swap only opposite edges of the hexagon, so most
+    # edge pairs are pruned before any matching is tested
+    suite.append((cycle(6), PermGroup([Perm.from_cycles(6, [tuple(range(6))])])))
+    for g, grp in suite:
         for m in range(1, min(4, g.n // 2) + 1):
             for mode in (MODE_PERMUTABLE, MODE_TWO_TRANSITIVE):
                 naive = False

@@ -10,6 +10,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from permatch import (
     BlockSystem,
@@ -305,6 +307,38 @@ def test_rebase_preserves_group():
     assert tuple(rebased.base)[:2] == (3, 1)
     for g in gens:
         assert g in rebased
+
+
+@st.composite
+def groups_with_hints(draw):
+    """Generators of a group of degree <= 7 (single cycles, which give
+    small groups, or arbitrary permutations) and a base hint."""
+    n = draw(st.integers(1, 7))
+    points = st.integers(0, n - 1)
+    cycle_gen = st.lists(points, unique=True, min_size=1).map(
+        lambda c: Perm.from_cycles(n, [c]))
+    any_gen = st.permutations(range(n)).map(Perm)
+    gens = draw(st.lists(st.one_of(cycle_gen, any_gen), min_size=1, max_size=3))
+    hint = draw(st.lists(points, unique=True))
+    return gens, hint
+
+
+@seed(2017)
+@settings(max_examples=120, deadline=None, database=None)
+@given(groups_with_hints())
+def test_rebase_properties(case):
+    gens, hint = case
+    n = gens[0].degree
+    group = PermGroup(gens)
+    rebased = group.rebase(hint)
+    assert rebased.order() == group.order()
+    assert rebased.base[:len(hint)] == tuple(hint)
+    assert rebased.generators == group.generators
+    assert math.prod(len(o) for o in rebased.basic_orbits()) == rebased.order()
+    closure = brute_closure(gens)
+    for images in permutations(range(n)):
+        assert rebased.contains(Perm(images)) == (images in closure)
+    assert rebased.strong_generators == group.rebase(hint).strong_generators
 
 
 def test_block_system_type():
