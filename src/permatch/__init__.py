@@ -56,6 +56,7 @@ from .graphs import (
     subdivide_all,
     subdivide_matching_twice,
     subdivide_non_matching,
+    validate_matching,
 )
 from .matchings import (
     MODE_PERMUTABLE,
@@ -72,7 +73,6 @@ from .matchings import (
     matching_report,
     matching_stabilizer,
     normalize_mode,
-    validate_matching,
 )
 from .perms import (
     BlockSystem,
@@ -85,6 +85,7 @@ from .perms import (
     is_symmetric_action,
     is_transitive,
     minimal_block,
+    orbits,
     subgroup_search,
 )
 from .polygonal import (

@@ -16,11 +16,13 @@ from .autiso import automorphism_group, canonical_graph6
 from .graphs import (
     Graph,
     Matching,
+    _is_prime,
     complement,
     complete,
     complete_bipartite,
     cycle,
     empty_graph,
+    is_connected,
     join,
     matching_join,
     paley_incidence,
@@ -69,10 +71,6 @@ class Catalog:
         return all(e.witness is not None for e in self.entries)
 
 
-def _is_paley_order(m: int) -> bool:
-    return m >= 3 and m % 4 == 3 and all(m % d for d in range(2, m))
-
-
 def matching_catalog(m: int, mode: str) -> Catalog:
     """The known families for the given matching size, isomorphs deduplicated
     (first name wins)."""
@@ -92,7 +90,7 @@ def matching_catalog(m: int, mode: str) -> Catalog:
         named.append(("C6", cycle(6)))
         named.append(("K222", complement(Graph(6, [(0, 1), (2, 3), (4, 5)]))))
     if mode != MODE_PERMUTABLE:
-        if _is_paley_order(m):
+        if m % 4 == 3 and _is_prime(m):
             named.append(("paley%d" % m, paley_incidence(m)))
             named.append(("paley%dcliques" % m, paley_incidence_cliques(m)))
         if m == 5:
@@ -116,7 +114,6 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
         raise ValueError("enumeration supports 1 <= n <= %d" % MAX_ENUMERATION_VERTICES)
     pairs = list(itertools.combinations(range(n), 2))
-    full = (1 << n) - 1
     seen: set[str] = set()
     reps: list[Graph] = []
     for mask in range(1 << len(pairs)):
@@ -130,19 +127,9 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
                 rows[v] |= 1 << u
             bits >>= 1
             i += 1
-        reach = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~reach
-            reach |= frontier
-        if reach != full:
-            continue
         g = Graph._raw(n, tuple(rows))
+        if not is_connected(g):
+            continue
         canon = canonical_graph6(g)
         if canon not in seen:
             seen.add(canon)

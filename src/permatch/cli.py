@@ -41,6 +41,7 @@ from .graphs import (
     subdivide_non_matching,
 )
 from .matchings import (
+    _passes,
     check_group_action,
     find_matching,
     is_2arc_transitive,
@@ -79,17 +80,6 @@ def _read_group(spec: str, g: Graph) -> PermGroup:
     group = PermGroup(gens, degree=g.n)
     check_group_action(g, group)
     return group
-
-
-def _parse_edges(text: str) -> list[tuple[int, int]]:
-    edges = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        a, b = part.split("-")
-        edges.append((int(a), int(b)))
-    return edges
 
 
 def _graph_spec(token: str) -> Graph:
@@ -189,13 +179,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("subdivide-non-matching expects one graph spec")
         if not args.edges:
             raise ValueError("subdivide-non-matching requires --edges")
-        g = subdivide_non_matching(_graph_spec(params[0]), Matching(_parse_edges(args.edges)))
+        g = subdivide_non_matching(_graph_spec(params[0]), Matching.parse(args.edges))
     elif name == "subdivide-matching-twice":
         if len(params) != 1:
             raise ValueError("subdivide-matching-twice expects one graph spec")
         if not args.edges:
             raise ValueError("subdivide-matching-twice requires --edges")
-        g = subdivide_matching_twice(_graph_spec(params[0]), Matching(_parse_edges(args.edges)))
+        g = subdivide_matching_twice(_graph_spec(params[0]), Matching.parse(args.edges))
     else:
         raise ValueError("unknown family: %s" % name)
 
@@ -224,18 +214,16 @@ def _cmd_aut(args: argparse.Namespace) -> int:
 
 def _cmd_matching_analyze(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    mode = normalize_mode(args.check) if args.check else None
     g = _read_graph(args.graph)
     group = _read_group(args.group, g)
-    matching = Matching(_parse_edges(args.edges))
+    matching = Matching.parse(args.edges)
     report = matching_report(g, matching, group)
-    result = report.to_json_dict()
     _emit("matching-analyze", {"graph": args.graph, "edges": args.edges,
-                               "group": args.group}, result, started)
-    if args.check:
-        mode = normalize_mode(args.check)
-        ok = report.permutable if mode == "permutable" else report.two_transitive
-        return 0 if ok else 1
-    return 0
+                               "group": args.group}, report.to_json_dict(), started)
+    if mode is None:
+        return 0
+    return 0 if _passes(report, mode) else 1
 
 
 def _cmd_matching_find(args: argparse.Namespace) -> int:
@@ -257,7 +245,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     started = time.monotonic()
     g = _read_graph(args.graph)
     group = _read_group(args.group, g)
-    required = _parse_edges(args.tree_contains) if args.tree_contains else []
+    required = Matching.parse(args.tree_contains or "")
     tree = spanning_tree(g, required)
     xi = standard_assignment(g, args.p, tree)
     cover = derived_cover(xi, max_vertices=args.max_vertices)
@@ -272,8 +260,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         "assignment": xi.to_json_dict(),
     }
     if args.tree_contains:
-        matching = Matching(required)
-        lifted_matching = lift_matching_in_tree(cover, matching)
+        lifted_matching = lift_matching_in_tree(cover, required)
         report = matching_report(cover.graph, lifted_matching, lifted)
         result["lifted_matching"] = str(lifted_matching)
         result["lifted_matching_report"] = report.to_json_dict()

@@ -179,6 +179,19 @@ class Matching:
         return out
 
 
+def validate_matching(g: Graph, matching: Matching) -> bool:
+    """Raise ValueError, naming the first bad pair, unless the pairs are
+    disjoint edges of g; return whether they cover every vertex."""
+    used: set[int] = set()
+    for a, b in matching:
+        if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
+            raise ValueError("matching edge (%d, %d) is not an edge of the graph" % (a, b))
+        if a in used or b in used:
+            raise ValueError("matching edges are not disjoint at (%d, %d)" % (a, b))
+        used.update((a, b))
+    return len(used) == g.n
+
+
 # ---------------------------------------------------------------------------
 # named families
 
@@ -393,22 +406,10 @@ def subdivide_all(g: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
     return Graph(n + len(edges_in), edges), vertex_of
 
 
-def _check_submatching(g: Graph, matching: Matching) -> set[frozenset[int]]:
-    keys = set()
-    used = set()
-    for a, b in matching:
-        if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
-            raise ValueError("matching edge (%d, %d) is not an edge of the graph" % (a, b))
-        if a in used or b in used:
-            raise ValueError("matching edges are not disjoint at (%d, %d)" % (a, b))
-        used.update((a, b))
-        keys.add(frozenset((a, b)))
-    return keys
-
-
 def subdivide_non_matching(g: Graph, matching: Matching) -> Graph:
     """Subdivide every edge not in the matching once; matching edges stay."""
-    keys = _check_submatching(g, matching)
+    validate_matching(g, matching)
+    keys = matching.edge_keys()
     edges = [e for e in g.edges() if frozenset(e) in keys]
     w = g.n
     for u, v in g.edges():
@@ -424,7 +425,8 @@ def subdivide_matching_twice(g: Graph, matching: Matching) -> Graph:
     """Replace each matching edge (u, v) by a path u - w1 - w2 - v; other
     edges stay.  New vertex pairs are appended in lexicographic edge order,
     the u-side vertex first."""
-    keys = _check_submatching(g, matching)
+    validate_matching(g, matching)
+    keys = matching.edge_keys()
     edges = [e for e in g.edges() if frozenset(e) not in keys]
     w = g.n
     for u, v in g.edges():
@@ -481,19 +483,16 @@ def distance(g: Graph, u: int, v: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
+    rows = g.rows
+    seen = frontier = 1
     while frontier:
         nxt = 0
-        row = frontier
-        v = 0
-        while row:
-            if row & 1:
-                nxt |= g.rows[v]
-            row >>= 1
-            v += 1
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~seen
-        seen |= nxt
+        seen |= frontier
     return seen == (1 << g.n) - 1
 
 

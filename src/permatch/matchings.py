@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from . import autiso
-from .graphs import Graph, Matching
+from .graphs import Graph, Matching, is_connected, validate_matching
 from .perms import Perm, PermGroup, induced_action, is_2transitive, is_primitive, \
-    is_transitive, subgroup_search
+    is_transitive, orbits, subgroup_search
 
 MODE_PERMUTABLE = "permutable"
 MODE_TWO_TRANSITIVE = "two-transitive"
@@ -26,19 +26,6 @@ def normalize_mode(mode: str) -> str:
     if m not in (MODE_PERMUTABLE, MODE_TWO_TRANSITIVE):
         raise ValueError("unknown mode %r" % mode)
     return m
-
-
-def validate_matching(g: Graph, matching: Matching) -> tuple[bool, bool]:
-    """(is_matching, is_perfect): pairs are disjoint edges of g; perfect if
-    they cover every vertex."""
-    used: set[int] = set()
-    for a, b in matching:
-        if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
-            return False, False
-        if a in used or b in used:
-            return False, False
-        used.update((a, b))
-    return True, len(used) == g.n
 
 
 def check_group_action(g: Graph, group: PermGroup) -> None:
@@ -61,19 +48,28 @@ def _group_or_aut(g: Graph, group: PermGroup | None) -> PermGroup:
 def matching_stabilizer(g: Graph, group: PermGroup, matching: Matching) -> PermGroup:
     """The subgroup of group mapping the edge set of the matching onto itself.
 
+    Raises ValueError unless the matching is a matching of g and every
+    generator of the group is an automorphism of g.  Internal callers that
+    have made these checks call _matching_stabilizer, the search itself.
+    """
+    validate_matching(g, matching)
+    check_group_action(g, group)
+    return _matching_stabilizer(group, matching)
+
+
+def _matching_stabilizer(group: PermGroup, matching: Matching) -> PermGroup:
+    """matching_stabilizer without its checks, for callers that made them.
+
     Backtrack over a stabilizer chain rebased onto the matched vertices;
     branches die as soon as a matched vertex heads outside the matching or
-    breaks a partner constraint.
+    breaks a partner constraint.  For a single edge this is the setwise
+    stabilizer of its two vertices.
     """
-    ok, _ = validate_matching(g, matching)
-    if not ok:
-        raise ValueError("not a matching of the graph: %s" % matching)
-    check_group_action(g, group)
     matched = sorted(set(matching.vertices()))
     if not matched:
         return group
     partner = matching.partner_map()
-    inside = [v in partner for v in range(g.n)]
+    inside = [v in partner for v in range(group.degree)]
     keys = matching.edge_keys()
     rebased = group.rebase(matched)
     base = rebased.base
@@ -141,11 +137,13 @@ class MatchingReport:
 def matching_report(g: Graph, matching: Matching,
                     group: PermGroup | None = None) -> MatchingReport:
     """Full symmetry report; group defaults to the automorphism group of g."""
-    group = _group_or_aut(g, group)
-    ok, perfect = validate_matching(g, matching)
-    if not ok:
-        raise ValueError("not a matching of the graph: %s" % matching)
-    stab = matching_stabilizer(g, group, matching)
+    return _report(g, _group_or_aut(g, group), matching)
+
+
+def _report(g: Graph, group: PermGroup, matching: Matching) -> MatchingReport:
+    # group must already be known to act on g
+    perfect = validate_matching(g, matching)
+    stab = _matching_stabilizer(group, matching)
     image = induced_edge_action(stab, matching)
     m = len(matching)
     induced_order = image.order()
@@ -172,36 +170,22 @@ def _passes(report: MatchingReport, mode: str) -> bool:
 Edge = tuple[int, int]  # (u, v) with u < v
 
 
+def _on_edge(im: tuple[int, ...], e: Edge) -> Edge:
+    a, b = im[e[0]], im[e[1]]
+    return (a, b) if a < b else (b, a)
+
+
+def _on_tuple(im: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(im.__getitem__, t))
+
+
 def _edge_orbits(group: PermGroup, edges: list[Edge]) -> list[dict[Edge, tuple[Edge, int] | None]]:
     """Orbits of the group on the given edges, which must be closed under
-    it, ordered by least member.
-
-    Each orbit is a Schreier tree: a dict in discovery order, starting at
-    the orbit's least edge (mapped to None), that maps every other edge to
-    (parent, k), the edge being the parent's image under generator k.
-    """
-    edge_set = set(edges)
-    gens = [p.images for p in group.generators]
-    seen: set[Edge] = set()
-    out = []
-    for e in sorted(edges):
-        if e in seen:
-            continue
-        tree: dict[Edge, tuple[Edge, int] | None] = {e: None}
-        queue = [e]
-        for cur in queue:
-            u, v = cur
-            for k, im in enumerate(gens):
-                a, b = im[u], im[v]
-                f = (a, b) if a < b else (b, a)
-                if f not in tree:
-                    if f not in edge_set:
-                        raise AssertionError("edge set not closed under the group")
-                    tree[f] = (cur, k)
-                    queue.append(f)
-        seen.update(tree)
-        out.append(tree)
-    return out
+    it, as Schreier trees (see perms.orbits) rooted at their least edges."""
+    trees = orbits(group.generators, sorted(edges), _on_edge)
+    if sum(map(len, trees)) != len(edges):
+        raise AssertionError("edge set not closed under the group")
+    return trees
 
 
 def _in_pair_orbit(inv: dict[Edge, tuple[int, ...]], e1_orbit: dict,
@@ -247,14 +231,12 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
                e1_orbit: dict | None) -> Matching | None:
         if len(partial) == m:
             cand = Matching(partial)
-            report = matching_report(g, cand, group)
-            return cand if _passes(report, mode) else None
+            return cand if _passes(_report(g, group, cand), mode) else None
         key = frozenset(partial)
         if key in visited:
             return None
         visited.add(key)
-        stab = matching_stabilizer(g, group, Matching(partial)) if len(partial) > 1 \
-            else group.setwise_stabilizer(set(partial[0]))
+        stab = _matching_stabilizer(group, Matching(partial))
         used = {x for e in partial for x in e}
         candidates = [e for e in orbit if e[0] not in used and e[1] not in used
                       and (e1_orbit is None or all(
@@ -295,20 +277,7 @@ def is_arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     edges = g.edges()
     if not edges:
         return True
-    total = 2 * len(edges)
-    start = edges[0]
-    orbit = {start}
-    queue = [start]
-    while queue:
-        u, v = queue.pop()
-        for p in group.generators:
-            im = (p.images[u], p.images[v])
-            if im not in orbit:
-                orbit.add(im)
-                queue.append(im)
-    if (start[1], start[0]) not in orbit:
-        return False
-    return len(orbit) == total
+    return len(orbits(group.generators, [edges[0]], _on_tuple)[0]) == 2 * len(edges)
 
 
 def _first_2arc(g: Graph) -> tuple[int, int, int] | None:
@@ -327,16 +296,7 @@ def is_2arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     if start is None:
         return True
     total = sum(g.degree(v) * (g.degree(v) - 1) for v in range(g.n))
-    orbit = {start}
-    queue = [start]
-    while queue:
-        t = queue.pop()
-        for p in group.generators:
-            im = (p.images[t[0]], p.images[t[1]], p.images[t[2]])
-            if im not in orbit:
-                orbit.add(im)
-                queue.append(im)
-    return len(orbit) == total
+    return len(orbits(group.generators, [start], _on_tuple)[0]) == total
 
 
 def _local_image(g: Graph, group: PermGroup, v: int) -> PermGroup:
@@ -347,7 +307,6 @@ def _local_image(g: Graph, group: PermGroup, v: int) -> PermGroup:
 
 def is_locally_primitive(g: Graph, group: PermGroup | None = None) -> bool:
     """Every vertex stabilizer acts primitively on that vertex's neighbors."""
-    from .graphs import is_connected
     group = _group_or_aut(g, group)
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -362,7 +321,6 @@ def is_locally_primitive(g: Graph, group: PermGroup | None = None) -> bool:
 
 def is_locally_symmetric(g: Graph, group: PermGroup | None = None) -> bool:
     """Vertex-transitive with the full symmetric group on each neighborhood."""
-    from .graphs import is_connected
     group = _group_or_aut(g, group)
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -376,7 +334,6 @@ def degree_bound_check(g: Graph, group: PermGroup, matching: Matching) -> bool:
     """For a permutable m-matching in a connected arc-transitive graph, the
     degree must be at least m, except for 3-matchings in cycles of length
     divisible by 3.  A False return is a counterexample to that bound."""
-    from .graphs import is_connected
     if not is_connected(g):
         raise ValueError("graph must be connected")
     group = _group_or_aut(g, group)

@@ -9,6 +9,7 @@ reproducible.  Orders are plain Python ints, so they never overflow.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from typing import Callable, Iterable, Iterator, Sequence
@@ -169,6 +170,36 @@ class BlockSystem:
 
     def is_trivial(self) -> bool:
         return len(self.blocks) == 1 or all(len(b) == 1 for b in self.blocks)
+
+
+def orbits(gens: Sequence[Perm], seeds: Iterable, act: Callable = operator.getitem) -> list[dict]:
+    """The orbits of <gens> through the seeds, one Schreier tree each.
+
+    Trees come in the order of the first seed of each orbit; a seed already
+    in an earlier orbit starts none.  A tree is a dict in discovery
+    (breadth-first) order that maps its root, the seed, to None and every
+    other member y to (x, k) with y == act(gens[k].images, x), so following
+    the links from y back to the root spells a group element carrying the
+    root to y (Seress 2003, section 4.1).  act defaults to the action on
+    points; callers pass their own for tuples, edges or cycles.
+    """
+    ims = [g.images for g in gens]
+    seen: set = set()
+    out = []
+    for s in seeds:
+        if s in seen:
+            continue
+        tree = {s: None}
+        queue = [s]
+        for x in queue:
+            for k, im in enumerate(ims):
+                y = act(im, x)
+                if y not in tree:
+                    tree[y] = (x, k)
+                    queue.append(y)
+        seen.update(tree)
+        out.append(tree)
+    return out
 
 
 class _Level:
@@ -379,25 +410,10 @@ class PermGroup:
     def orbit(self, point: int) -> tuple[int, ...]:
         if not (0 <= point < self.degree):
             raise ValueError("point out of range")
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for g in self.generators:
-                y = g.images[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return tuple(sorted(seen))
+        return tuple(sorted(orbits(self.generators, [point])[0]))
 
     def orbits(self) -> list[tuple[int, ...]]:
-        out = []
-        remaining = set(range(self.degree))
-        while remaining:
-            o = self.orbit(min(remaining))
-            out.append(o)
-            remaining.difference_update(o)
-        return out
+        return [tuple(sorted(tree)) for tree in orbits(self.generators, range(self.degree))]
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
         """The subgroup fixing every listed point, via base change."""
@@ -409,25 +425,6 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer((point,))
-
-    def setwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
-        """The subgroup mapping the given set onto itself (backtrack search)."""
-        s = frozenset(points)
-        if any(not (0 <= x < self.degree) for x in s):
-            raise ValueError("point out of range")
-        if not s or len(s) == self.degree:
-            return self
-        inside = [x in s for x in range(self.degree)]
-        rebased = self.rebase(sorted(s))
-
-        def keep(level: int, img: int, imgs: list[int]) -> bool:
-            return inside[img] == inside[rebased._levels[level].point]
-
-        def test(g: Perm) -> bool:
-            im = g.images
-            return all(im[x] in s for x in s)
-
-        return subgroup_search(rebased, test, prune=keep)
 
 
 def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .autiso import automorphism_group
 from .graphs import Graph, is_connected
 from .matchings import _first_2arc, check_group_action, is_2arc_transitive
-from .perms import BlockSystem, Perm, PermGroup, find_elements
+from .perms import BlockSystem, Perm, PermGroup, find_elements, orbits
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,8 @@ def verify_cycle_system(g: Graph, system: CycleSystem) -> bool:
     return all(v == 1 for v in counts.values())
 
 
-def _cycle_orbit(g: Graph, group: PermGroup, cycle: tuple[int, ...]) -> CycleSystem:
-    start = _canonical_cycle(cycle)
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for p in group.generators:
-            img = _canonical_cycle(tuple(p.images[x] for x in cur))
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return CycleSystem(len(cycle), tuple(sorted(seen)))
+def _on_cycle(im: tuple[int, ...], cyc: tuple[int, ...]) -> tuple[int, ...]:
+    return _canonical_cycle(tuple(map(im.__getitem__, cyc)))
 
 
 def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> CycleSystem | None:
@@ -121,7 +111,8 @@ def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> Cycl
             x = cand.images[x]
         if len(cyc) < 3 or len(cyc) > g.n:
             continue
-        system = _cycle_orbit(g, group, tuple(cyc))
+        (orbit,) = orbits(group.generators, [_canonical_cycle(tuple(cyc))], _on_cycle)
+        system = CycleSystem(len(cyc), tuple(sorted(orbit)))
         if verify_cycle_system(g, system):
             return system
     return None

@@ -19,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, Matching, is_connected
-from .matchings import check_group_action, validate_matching
+from .graphs import Graph, Matching, _is_prime, is_connected, validate_matching
+from .matchings import check_group_action
 from .perms import Perm, PermGroup
 
 DEFAULT_COVER_CAP = 100000
@@ -208,7 +208,7 @@ class VoltageAssignment:
 
 def standard_assignment(g: Graph, p: int, tree: Iterable[tuple[int, int]]) -> VoltageAssignment:
     """Basis voltages: the i-th cotree edge, low-to-high, gets e_i."""
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not _is_prime(p):
         raise ValueError("p must be prime (got %d)" % p)
     tree_set = frozenset((min(u, v), max(u, v)) for u, v in tree)
     cotree = [e for e in g.edges() if e not in tree_set]
@@ -381,9 +381,7 @@ def lift_matching_in_tree(cover: CoverGraph, matching: Matching) -> Matching:
         if (min(a, b), max(a, b)) not in tree:
             raise ValueError("matching edge (%d, %d) is not in the tree" % (a, b))
     lifted = Matching(matching.edges)
-    ok, _ = validate_matching(cover.graph, lifted)
-    if not ok:
-        raise AssertionError("lifted matching is degenerate")
+    validate_matching(cover.graph, lifted)
     return lifted
 
 
@@ -432,7 +430,5 @@ def cycle_system_matching(cover: CoverGraph, alpha: int, cycles) -> Matching:
         shift = _vadd(h, xi.voltage(alpha, bi), xi.p)
         pairs.append((cover.vertex_id(alpha, h), cover.vertex_id(bi, shift)))
     lifted = Matching(pairs)
-    ok, _ = validate_matching(cover.graph, lifted)
-    if not ok:
-        raise ValueError("cycle voltages give a degenerate matching")
+    validate_matching(cover.graph, lifted)
     return lifted

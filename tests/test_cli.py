@@ -7,6 +7,7 @@ test checks the module entry point.
 import json
 import subprocess
 import sys
+import time
 
 from permatch import (
     are_isomorphic,
@@ -135,6 +136,11 @@ def test_matching_analyze(tmp_path, capsys):
     code, _, err = run(capsys, ["matching", "analyze", path, "--edges", "0-2"])
     assert code == 2 and "error:" in err
 
+    # a bad mode is rejected before any report is written
+    code, report, err = run(capsys, ["matching", "analyze", path,
+                                     "--edges", "0-1,2-3,4-5", "--check", "bogus"])
+    assert code == 2 and report is None and "unknown mode" in err
+
 
 def test_matching_find(tmp_path, capsys):
     path = write_graph(tmp_path, cycle(6))
@@ -198,6 +204,18 @@ def test_cover_command(tmp_path, capsys):
     code, _, err = run(capsys, ["cover", path, "-p", "2",
                                 "--max-vertices", "5"])
     assert code == 2 and "error:" in err
+    # tree edges that share a vertex lift to no matching
+    code, _, err = run(capsys, ["cover", path, "-p", "2",
+                                "--tree-contains", "0-1,1-2"])
+    assert code == 2 and "not disjoint" in err
+    code, _, err = run(capsys, ["cover", path, "-p", "2", "--tree-contains", "0-1-2"])
+    assert code == 2 and "malformed" in err
+
+    # a huge prime is tested in about sqrt(p) steps before the size cap rejects it
+    started = time.monotonic()
+    code, _, err = run(capsys, ["cover", path, "-p", "1000000007"])
+    assert code == 2 and "cap" in err
+    assert time.monotonic() - started < 5.0
 
 
 def test_near_polygonal_command(tmp_path, capsys):

@@ -283,11 +283,9 @@ def test_matching_type():
     with pytest.raises(ValueError):
         Matching([(0, 1), (1, 0)])
 
-    ok, perfect = validate_matching(cycle(6), Matching([(0, 1), (2, 3), (4, 5)]))
-    assert ok and perfect
-    ok, perfect = validate_matching(cycle(6), Matching([(0, 1), (2, 3)]))
-    assert ok and not perfect
-    ok, _ = validate_matching(cycle(6), Matching([(0, 2)]))
-    assert not ok
-    ok, _ = validate_matching(cycle(6), Matching([(0, 1), (1, 2)]))
-    assert not ok
+    assert validate_matching(cycle(6), Matching([(0, 1), (2, 3), (4, 5)]))
+    assert not validate_matching(cycle(6), Matching([(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge"):
+        validate_matching(cycle(6), Matching([(0, 2)]))
+    with pytest.raises(ValueError, match=r"not disjoint at \(1, 2\)"):
+        validate_matching(cycle(6), Matching([(0, 1), (1, 2)]))

@@ -15,15 +15,19 @@ from hypothesis import strategies as st
 
 from permatch import (
     BlockSystem,
+    Matching,
     Perm,
     PermGroup,
+    complete,
     find_elements,
     induced_action,
     is_2transitive,
     is_primitive,
     is_symmetric_action,
     is_transitive,
+    matching_stabilizer,
     minimal_block,
+    orbits,
     subgroup_search,
 )
 
@@ -143,26 +147,26 @@ def test_stabilizers_match_brute_filter():
         expect = {t for t in elements if all(t[x] == x for x in pts)}
         assert group.pointwise_stabilizer(pts).order() == len(expect)
 
-        target = set(rng.sample(range(degree), rng.randrange(1, degree)))
-        expect = {t for t in elements if {t[x] for x in target} == target}
-        stab = group.setwise_stabilizer(target)
+        # every permutation is an automorphism of K_degree
+        ends = rng.sample(range(degree), 2 * rng.randrange(1, degree // 2 + 1))
+        matching = Matching(zip(ends[::2], ends[1::2]))
+        keys = matching.edge_keys()
+        expect = {t for t in elements
+                  if {frozenset((t[a], t[b])) for a, b in matching} == keys}
+        stab = matching_stabilizer(complete(degree), group, matching)
         assert stab.order() == len(expect)
         for s in stab.generators:
-            assert {s.images[x] for x in target} == target
+            assert {frozenset((s.images[a], s.images[b])) for a, b in matching} == keys
 
 
 def test_setwise_stabilizer_known_cases():
     s4 = PermGroup(sym_gens(4))
-    assert s4.setwise_stabilizer({0, 1}).order() == 4
-    assert s4.setwise_stabilizer(range(4)).order() == 24
-    rot = Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
-    flip = Perm([(6 - i) % 6 for i in range(6)])
-    d6 = PermGroup([rot, flip])
-    assert d6.setwise_stabilizer({0, 2, 4}).order() == 6
+    assert matching_stabilizer(complete(4), s4, Matching([(0, 1)])).order() == 4
 
 
 def test_orbit_stabilizer_identity_for_sets():
-    """|G| = |G_S| * |orbit of S| for the action on subsets."""
+    """|G| = |G_S| * |orbit of S| for the action on 2-subsets, each the edge
+    of a 1-matching of K_degree."""
     rng = random.Random(3)
     for _ in range(8):
         degree = rng.randrange(4, 8)
@@ -178,7 +182,8 @@ def test_orbit_stabilizer_identity_for_sets():
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
-        assert group.setwise_stabilizer(target).order() * len(orbit) == group.order()
+        stab = matching_stabilizer(complete(degree), group, Matching([sorted(target)]))
+        assert stab.order() * len(orbit) == group.order()
 
 
 def test_subgroup_search_parity():
@@ -214,6 +219,33 @@ def test_orbits_partition_domain():
         assert flat == list(range(degree))
         for orb in orbits:
             assert set(group.orbit(orb[0])) == set(orb)
+
+
+def test_orbits_schreier_trees():
+    rng = random.Random(11)
+    for _ in range(10):
+        degree = rng.randrange(3, 10)
+        gens = random_group(rng, degree, 1)
+        seeds = rng.sample(range(degree), degree)
+        trees = orbits(gens, seeds)
+        assert sorted(x for t in trees for x in t) == list(range(degree))
+        roots = [next(iter(t)) for t in trees]
+        # each root is its orbit's first seed, and trees follow seed order
+        assert roots == [next(s for s in seeds if s in t) for t in trees]
+        assert sorted(roots, key=seeds.index) == roots
+        for t, root in zip(trees, roots):
+            assert t[root] is None
+            for y, link in t.items():
+                if link is None:
+                    continue
+                x, k = link
+                assert gens[k].images[x] == y
+                assert list(t).index(x) < list(t).index(y)
+    # another action: ordered pairs, seeds in one orbit start one tree
+    c4 = [Perm.from_cycles(4, [(0, 1, 2, 3)])]
+    pairs = orbits(c4, [(0, 1), (2, 3), (0, 2)], lambda im, t: (im[t[0]], im[t[1]]))
+    assert [list(t) for t in pairs] == [[(0, 1), (1, 2), (2, 3), (3, 0)],
+                                       [(0, 2), (1, 3), (2, 0), (3, 1)]]
 
 
 def test_transitivity_predicates():
@@ -291,9 +323,8 @@ def test_is_symmetric_action():
     rot6 = Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
     flip6 = Perm([(6 - i) % 6 for i in range(6)])
     d6 = PermGroup([rot6, flip6])
-    stab = d6.setwise_stabilizer({0, 1, 2, 3, 4, 5})
     cells = [[0, 1], [2, 3], [4, 5]]
-    kept = subgroup_search(stab, lambda g: all(
+    kept = subgroup_search(d6, lambda g: all(
         {g.images[a], g.images[b]} in [set(c) for c in cells] for a, b in cells))
     assert is_symmetric_action(kept, cells)
     assert not is_symmetric_action(PermGroup.trivial(6), [[0, 1], [2, 3]])
