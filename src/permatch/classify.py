@@ -32,8 +32,8 @@ from .graphs import (
 from .matchings import (
     MODE_PERMUTABLE,
     _passes,
+    _report,
     find_matching,
-    matching_report,
     normalize_mode,
 )
 
@@ -178,7 +178,7 @@ def classify_perfect_matchings(m: int, mode: str) -> Catalog:
             continue
         group = automorphism_group(g)
         for pm in pms:
-            report = matching_report(g, pm, group)
+            report = _report(g, group, pm)
             if _passes(report, mode):
                 canon = canonical_graph6(g)
                 entries.append(CatalogEntry(known.get(canon, canon), g, canon, pm))

@@ -273,7 +273,11 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
 
 def is_arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     """One orbit on ordered adjacent pairs (vacuous without edges)."""
-    group = _group_or_aut(g, group)
+    return _is_arc_transitive(g, _group_or_aut(g, group))
+
+
+def _is_arc_transitive(g: Graph, group: PermGroup) -> bool:
+    # group must already be known to act on g
     edges = g.edges()
     if not edges:
         return True
@@ -291,7 +295,11 @@ def _first_2arc(g: Graph) -> tuple[int, int, int] | None:
 
 def is_2arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     """One orbit on ordered paths (a, b, c) with a != c."""
-    group = _group_or_aut(g, group)
+    return _is_2arc_transitive(g, _group_or_aut(g, group))
+
+
+def _is_2arc_transitive(g: Graph, group: PermGroup) -> bool:
+    # group must already be known to act on g
     start = _first_2arc(g)
     if start is None:
         return True
@@ -337,9 +345,9 @@ def degree_bound_check(g: Graph, group: PermGroup, matching: Matching) -> bool:
     if not is_connected(g):
         raise ValueError("graph must be connected")
     group = _group_or_aut(g, group)
-    if not is_arc_transitive(g, group):
+    if not _is_arc_transitive(g, group):
         raise ValueError("group is not arc-transitive on the graph")
-    report = matching_report(g, matching, group)
+    report = _report(g, group, matching)
     if not report.permutable:
         raise ValueError("matching is not permutable under the group")
     m = len(matching)

@@ -1,9 +1,11 @@
 """Permutations and permutation groups on {0, ..., n-1}.
 
 Permutations act on the right: x^(g*h) == (x^g)^h.  Groups carry a
-deterministic base and strong generating set (Schreier-Sims), which makes
-orders, membership tests, stabilizers and backtrack searches exact and
-reproducible.  Orders are plain Python ints, so they never overflow.
+deterministic base and strong generating set, which makes orders,
+membership tests, stabilizers and backtrack searches exact and
+reproducible.  A chain comes from Schreier-Sims on generators (PermGroup),
+from random Schreier-Sims to a known order (rebase), or is read off a
+backtrack search (subgroup_search).  Orders are plain Python ints.
 """
 
 from __future__ import annotations
@@ -296,28 +298,15 @@ def _complete_chain(levels: list[_Level], start: int) -> None:
             i = j
 
 
-def _build_chain(degree: int, gens: Sequence[Perm], base_hint: Sequence[int]) -> list[_Level]:
-    levels = [_Level(b, degree) for b in base_hint]
-    for g in gens:
-        if g.is_identity():
-            continue
-        residue, i = _sift(levels, g)
-        if not residue.is_identity():
-            j = _append_gen(levels, residue, i)
-            _complete_chain(levels, j)
-    return levels
-
-
 class PermGroup:
     """A permutation group with a deterministic base and strong generating set.
 
-    New levels pick the smallest moved point as base point; an optional
-    base_hint pins a prefix of the base, which is how stabilizer extraction
-    and backtrack searches are arranged.
+    The constructor runs Schreier-Sims on the generators, and each new level
+    picks the smallest moved point as base point; rebase and subgroup_search
+    build their chains otherwise (see the module docstring).
     """
 
-    def __init__(self, generators: Iterable[Perm], degree: int | None = None,
-                 base_hint: Sequence[int] = ()):
+    def __init__(self, generators: Iterable[Perm], degree: int | None = None):
         gens = tuple(generators)
         if degree is None:
             if not gens:
@@ -325,11 +314,16 @@ class PermGroup:
             degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators have mismatched degrees")
-        if any(not (0 <= b < degree) for b in base_hint):
-            raise ValueError("base hint point out of range")
         self.degree = degree
         self.generators = gens
-        self._levels = _build_chain(degree, gens, tuple(base_hint))
+        self._levels: list[_Level] = []
+        for g in gens:
+            if g.is_identity():
+                continue
+            residue, i = _sift(self._levels, g)
+            if not residue.is_identity():
+                j = _append_gen(self._levels, residue, i)
+                _complete_chain(self._levels, j)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -365,14 +359,8 @@ class PermGroup:
             n *= len(lvl.transversal)
         return n
 
-    def sift(self, p: Perm) -> Perm:
-        if p.degree != self.degree:
-            raise ValueError("degree mismatch")
-        residue, _ = _sift(self._levels, p)
-        return residue
-
     def contains(self, p: Perm) -> bool:
-        return p.degree == self.degree and self.sift(p).is_identity()
+        return p.degree == self.degree and _sift(self._levels, p)[0].is_identity()
 
     def __contains__(self, p: Perm) -> bool:
         return self.contains(p)
@@ -429,20 +417,25 @@ class PermGroup:
 
 def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
                     prune: Callable[[int, int, list[int]], bool] | None = None) -> PermGroup:
-    """Generators for {g in group : test(g)}, which must be a subgroup.
+    """H = {g in group : test(g)}, which must be a subgroup, with its chain.
 
-    Depth-first search over the stabilizer chain: for each level i and each
-    achievable image d of the i-th base point, one element fixing the earlier
-    base points and sending base[i] to d is kept.  prune(level, img, imgs)
-    sees the images of base[0..level-1] in imgs plus the candidate image img
-    of base[level]; returning False cuts that branch.
+    For each level i of the group's chain (base b_0, b_1, ...), deepest
+    first, and each d != b_i in the basic orbit of b_i, the search scans the
+    elements fixing b_0..b_{i-1} and sending b_i to d until one passes test.
+    prune(level, img, imgs) sees the images of base[0..level-1] in imgs and
+    a candidate image img of base[level]; False cuts the branch, and prune
+    may cut only branches where no element passes test.  Then the elements
+    found at level i and the identity are a transversal, and strong
+    generators, of H_i = H fixing b_0..b_{i-1} on the orbit of b_i (Seress
+    2003, chapter 9): H's chain, on the group's base, is read off the
+    search.  Generators come deepest level first, by increasing d.
     """
     levels = group._levels
     k = len(levels)
     n = group.degree
     base_pts = [lvl.point for lvl in levels]
     orbits = [sorted(lvl.transversal) for lvl in levels]
-    found: list[Perm] = []
+    chain = [_Level(b, n) for b in base_pts]
 
     def extend(i: int, w: Perm, imgs: list[int]) -> Perm | None:
         if i == k:
@@ -469,9 +462,11 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
             imgs = prefix + [d]
             g = extend(i + 1, levels[i].transversal[d], imgs)
             if g is not None:
-                found.append(g)
+                chain[i].gens.append(g)
+                chain[i].transversal[d] = g
+                chain[i].inverse[d] = g.inverse()
 
-    return PermGroup(found, n, base_hint=tuple(base_pts))
+    return PermGroup._from_chain([g for lvl in reversed(chain) for g in lvl.gens], n, chain)
 
 
 def find_elements(group: PermGroup, mappings: Sequence[tuple[int, int]],

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autiso import automorphism_group
 from .graphs import Graph, is_connected
-from .matchings import _first_2arc, check_group_action, is_2arc_transitive
+from .matchings import _first_2arc, _group_or_aut, _is_2arc_transitive, check_group_action
 from .perms import BlockSystem, Perm, PermGroup, find_elements, orbits
 
 
@@ -75,13 +74,10 @@ def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> Cycl
     verified system found, or None when the fixed-neighbor criterion fails or
     no normalizing element yields a valid system.
     """
-    if group is None:
-        group = automorphism_group(g)
-    else:
-        check_group_action(g, group)
+    group = _group_or_aut(g, group)
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    if not is_2arc_transitive(g, group):
+    if not _is_2arc_transitive(g, group):
         raise ValueError("group is not 2-arc-transitive on the graph")
     first = _first_2arc(g)
     if first is None:

@@ -43,7 +43,7 @@ def spanning_tree(g: Graph, required_edges: Iterable[tuple[int, int]] = ()) -> f
 
     tree: set[tuple[int, int]] = set()
     for u, v in required_edges:
-        if not g.has_edge(u, v):
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
             raise ValueError("required edge (%d, %d) is not an edge" % (u, v))
         ru, rv = find(u), find(v)
         if ru == rv:

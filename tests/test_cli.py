@@ -210,6 +210,8 @@ def test_cover_command(tmp_path, capsys):
     assert code == 2 and "not disjoint" in err
     code, _, err = run(capsys, ["cover", path, "-p", "2", "--tree-contains", "0-1-2"])
     assert code == 2 and "malformed" in err
+    code, _, err = run(capsys, ["cover", path, "-p", "2", "--tree-contains", "99-0"])
+    assert code == 2 and "not an edge" in err
 
     # a huge prime is tested in about sqrt(p) steps before the size cap rejects it
     started = time.monotonic()

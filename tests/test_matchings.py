@@ -346,3 +346,14 @@ def test_degree_bound_check():
     with pytest.raises(ValueError):
         degree_bound_check(two_triangles, automorphism_group(two_triangles),
                            Matching([(0, 1), (3, 4)]))
+
+
+def test_degree_bound_check_verifies_group_once(monkeypatch):
+    g = cycle(6)
+    grp = automorphism_group(g)
+    checked = []
+    original = Graph.is_automorphism
+    monkeypatch.setattr(Graph, "is_automorphism",
+                        lambda self, p: checked.append(p) or original(self, p))
+    assert degree_bound_check(g, grp, Matching([(0, 1), (2, 3), (4, 5)]))
+    assert checked == list(grp.generators) and len(checked) == 3

@@ -155,6 +155,8 @@ def test_stabilizers_match_brute_filter():
                   if {frozenset((t[a], t[b])) for a, b in matching} == keys}
         stab = matching_stabilizer(complete(degree), group, matching)
         assert stab.order() == len(expect)
+        # membership reads only the chain the search built
+        assert {t for t in permutations(range(degree)) if stab.contains(Perm(t))} == expect
         for s in stab.generators:
             assert {frozenset((s.images[a], s.images[b])) for a, b in matching} == keys
 
@@ -195,6 +197,8 @@ def test_subgroup_search_parity():
     a5 = subgroup_search(s5, is_even)
     assert a5.order() == 60
     assert all(is_even(g) for g in a5.generators)
+    for images in permutations(range(5)):
+        assert a5.contains(Perm(images)) == is_even(Perm(images))
 
 
 def test_find_elements_vs_brute():
@@ -370,6 +374,37 @@ def test_rebase_properties(case):
     for images in permutations(range(n)):
         assert rebased.contains(Perm(images)) == (images in closure)
     assert rebased.strong_generators == group.rebase(hint).strong_generators
+
+
+@st.composite
+def groups_with_subsets(draw):
+    """A group and base hint as in groups_with_hints, and a subset of points."""
+    gens, hint = draw(groups_with_hints())
+    subset = draw(st.sets(st.integers(0, gens[0].degree - 1)))
+    return gens, hint, subset
+
+
+@seed(2017)
+@settings(max_examples=120, deadline=None, database=None)
+@given(groups_with_subsets())
+def test_subgroup_search_chain_properties(case):
+    """The chain subgroup_search reads off its search is exact for the
+    setwise stabilizer of a subset, pruned by the subset's own test."""
+    gens, hint, subset = case
+    n = gens[0].degree
+    group = PermGroup(gens)
+    base = group.base
+
+    def keep(level, img, imgs):
+        return (base[level] in subset) == (img in subset)
+
+    stab = subgroup_search(group, lambda p: all(p.images[x] in subset for x in subset),
+                           prune=keep)
+    expect = {t for t in brute_closure(gens) if all(t[x] in subset for x in subset)}
+    for images in permutations(range(n)):
+        assert stab.contains(Perm(images)) == (images in expect)
+    assert stab.order() == math.prod(len(o) for o in stab.basic_orbits()) == len(expect)
+    assert stab.rebase(hint).order() == stab.order()
 
 
 def test_block_system_type():

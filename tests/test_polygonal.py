@@ -125,6 +125,17 @@ def test_certificate_preconditions():
         near_polygonal_certificate(petersen(), PermGroup([], degree=10))
 
 
+def test_certificate_verifies_group_once(monkeypatch):
+    g = complete(4)
+    grp = automorphism_group(g)
+    checked = []
+    original = Graph.is_automorphism
+    monkeypatch.setattr(Graph, "is_automorphism",
+                        lambda self, p: checked.append(p) or original(self, p))
+    assert near_polygonal_certificate(g, grp) is not None
+    assert checked == list(grp.generators) and len(checked) == 6
+
+
 def test_quotient_by_fibers_recovers_base():
     g = complete(4)
     cov = derived_cover(standard_assignment(g, 2, spanning_tree(g)))

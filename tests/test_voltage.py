@@ -85,6 +85,10 @@ def test_spanning_tree():
         spanning_tree(cycle(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(ValueError):
         spanning_tree(cycle(4), [(0, 2)])
+    # ends outside 0..n-1 are not edges, though a negative index would wrap
+    for bad in ((99, 0), (0, 99), (-1, 0)):
+        with pytest.raises(ValueError, match="not an edge"):
+            spanning_tree(cycle(4), [bad])
     disconnected = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         spanning_tree(disconnected)
