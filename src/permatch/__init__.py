@@ -8,6 +8,8 @@ matchings through voltage covers, certifies near-polygonal cycle systems,
 and checks the small catalogs exhaustively.
 """
 
+from types import ModuleType as _ModuleType
+
 from .autiso import (
     CanonicalForm,
     are_isomorphic,
@@ -97,7 +99,6 @@ from .polygonal import (
     verify_cycle_system,
 )
 from .voltage import (
-    CoverGraph,
     VoltageAssignment,
     VoltageMatrix,
     covering_transformations,
@@ -113,4 +114,6 @@ from .voltage import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above, not the submodules they come from
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -12,7 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 
-from .autiso import automorphism_group, canonical_graph6
+from .autiso import canonical_graph6
 from .graphs import (
     Graph,
     Matching,
@@ -31,9 +31,10 @@ from .graphs import (
 )
 from .matchings import (
     MODE_PERMUTABLE,
+    _group_or_aut,
     _passes,
-    _report,
     find_matching,
+    matching_report,
     normalize_mode,
 )
 
@@ -176,9 +177,9 @@ def classify_perfect_matchings(m: int, mode: str) -> Catalog:
         pms = perfect_matchings(g)
         if not pms:
             continue
-        group = automorphism_group(g)
+        group = _group_or_aut(g, None)  # the automorphism group, known to act on g
         for pm in pms:
-            report = _report(g, group, pm)
+            report = matching_report(g, pm, group)
             if _passes(report, mode):
                 canon = canonical_graph6(g)
                 entries.append(CatalogEntry(known.get(canon, canon), g, canon, pm))
@@ -192,8 +193,7 @@ def verify_catalog_membership(m: int, mode: str) -> Catalog:
     cat = matching_catalog(m, mode)
     entries = []
     for e in cat.entries:
-        group = automorphism_group(e.graph)
-        witness = find_matching(e.graph, group, m, mode)
+        witness = find_matching(e.graph, None, m, mode)
         entries.append(replace(e, witness=witness))
     return Catalog(cat.m, cat.mode, tuple(entries))
 

@@ -41,6 +41,7 @@ from .graphs import (
     subdivide_non_matching,
 )
 from .matchings import (
+    _group_or_aut,
     _passes,
     check_group_action,
     find_matching,
@@ -70,7 +71,7 @@ def _read_graph(path: str) -> Graph:
 
 def _read_group(spec: str, g: Graph) -> PermGroup:
     if spec == "auto":
-        return automorphism_group(g)
+        return _group_or_aut(g, None)
     gens = []
     with open(spec, "r", encoding="ascii") as fh:
         for line in fh:

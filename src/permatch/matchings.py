@@ -10,6 +10,7 @@ if the induced action is 2-transitive the matching is 2-transitive.  A
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from . import autiso
@@ -28,20 +29,37 @@ def normalize_mode(mode: str) -> str:
     return m
 
 
+# group -> (graph, generators) of the last pair check_group_action passed
+_checked: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def check_group_action(g: Graph, group: PermGroup) -> None:
-    """Raise unless every generator of the group is an automorphism of g."""
+    """Raise unless every generator of the group is an automorphism of g.
+
+    A passed pair is remembered with the generators it checked, so checking
+    an equal graph against the same group again costs one lookup; another
+    graph, or generators replaced since, are checked in full.
+    """
+    seen = _checked.get(group)
+    if seen is not None and seen[1] is group.generators and seen[0] == g:
+        return
     if group.degree != g.n:
         raise ValueError("group degree %d does not match graph order %d"
                          % (group.degree, g.n))
     for p in group.generators:
         if not g.is_automorphism(p):
             raise ValueError("generator %r is not an automorphism" % p)
+    _checked[group] = (g, group.generators)
 
 
 def _group_or_aut(g: Graph, group: PermGroup | None) -> PermGroup:
-    if group is None:
-        return autiso.automorphism_group(g)
-    check_group_action(g, group)
+    """The group, checked against g, or else the automorphism group of g,
+    remembered as checked: automorphism_group verifies its generators."""
+    if group is not None:
+        check_group_action(g, group)
+        return group
+    group = autiso.automorphism_group(g)
+    _checked[group] = (g, group.generators)
     return group
 
 
@@ -49,22 +67,14 @@ def matching_stabilizer(g: Graph, group: PermGroup, matching: Matching) -> PermG
     """The subgroup of group mapping the edge set of the matching onto itself.
 
     Raises ValueError unless the matching is a matching of g and every
-    generator of the group is an automorphism of g.  Internal callers that
-    have made these checks call _matching_stabilizer, the search itself.
+    generator of the group is an automorphism of g.  Backtrack over a
+    stabilizer chain rebased onto the matched vertices; branches die as soon
+    as a matched vertex heads outside the matching or breaks a partner
+    constraint.  For a single edge this is the setwise stabilizer of its two
+    vertices.
     """
     validate_matching(g, matching)
     check_group_action(g, group)
-    return _matching_stabilizer(group, matching)
-
-
-def _matching_stabilizer(group: PermGroup, matching: Matching) -> PermGroup:
-    """matching_stabilizer without its checks, for callers that made them.
-
-    Backtrack over a stabilizer chain rebased onto the matched vertices;
-    branches die as soon as a matched vertex heads outside the matching or
-    breaks a partner constraint.  For a single edge this is the setwise
-    stabilizer of its two vertices.
-    """
     matched = sorted(set(matching.vertices()))
     if not matched:
         return group
@@ -137,13 +147,8 @@ class MatchingReport:
 def matching_report(g: Graph, matching: Matching,
                     group: PermGroup | None = None) -> MatchingReport:
     """Full symmetry report; group defaults to the automorphism group of g."""
-    return _report(g, _group_or_aut(g, group), matching)
-
-
-def _report(g: Graph, group: PermGroup, matching: Matching) -> MatchingReport:
-    # group must already be known to act on g
-    perfect = validate_matching(g, matching)
-    stab = _matching_stabilizer(group, matching)
+    group = _group_or_aut(g, group)
+    stab = matching_stabilizer(g, group, matching)
     image = induced_edge_action(stab, matching)
     m = len(matching)
     induced_order = image.order()
@@ -151,7 +156,7 @@ def _report(g: Graph, group: PermGroup, matching: Matching) -> MatchingReport:
         matching=matching,
         m=m,
         is_matching=True,
-        is_perfect=perfect,
+        is_perfect=2 * m == g.n,
         group_order=group.order(),
         stabilizer_order=stab.order(),
         induced_order=induced_order,
@@ -231,12 +236,12 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
                e1_orbit: dict | None) -> Matching | None:
         if len(partial) == m:
             cand = Matching(partial)
-            return cand if _passes(_report(g, group, cand), mode) else None
+            return cand if _passes(matching_report(g, cand, group), mode) else None
         key = frozenset(partial)
         if key in visited:
             return None
         visited.add(key)
-        stab = _matching_stabilizer(group, Matching(partial))
+        stab = matching_stabilizer(g, group, Matching(partial))
         used = {x for e in partial for x in e}
         candidates = [e for e in orbit if e[0] not in used and e[1] not in used
                       and (e1_orbit is None or all(
@@ -273,11 +278,7 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
 
 def is_arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     """One orbit on ordered adjacent pairs (vacuous without edges)."""
-    return _is_arc_transitive(g, _group_or_aut(g, group))
-
-
-def _is_arc_transitive(g: Graph, group: PermGroup) -> bool:
-    # group must already be known to act on g
+    group = _group_or_aut(g, group)
     edges = g.edges()
     if not edges:
         return True
@@ -295,11 +296,7 @@ def _first_2arc(g: Graph) -> tuple[int, int, int] | None:
 
 def is_2arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     """One orbit on ordered paths (a, b, c) with a != c."""
-    return _is_2arc_transitive(g, _group_or_aut(g, group))
-
-
-def _is_2arc_transitive(g: Graph, group: PermGroup) -> bool:
-    # group must already be known to act on g
+    group = _group_or_aut(g, group)
     start = _first_2arc(g)
     if start is None:
         return True
@@ -345,9 +342,9 @@ def degree_bound_check(g: Graph, group: PermGroup, matching: Matching) -> bool:
     if not is_connected(g):
         raise ValueError("graph must be connected")
     group = _group_or_aut(g, group)
-    if not _is_arc_transitive(g, group):
+    if not is_arc_transitive(g, group):
         raise ValueError("group is not arc-transitive on the graph")
-    report = _report(g, group, matching)
+    report = matching_report(g, matching, group)
     if not report.permutable:
         raise ValueError("matching is not permutable under the group")
     m = len(matching)

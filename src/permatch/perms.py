@@ -503,56 +503,34 @@ def find_elements(group: PermGroup, mappings: Sequence[tuple[int, int]],
     return rec(0, ident, ident)
 
 
-def _check_domain(group: PermGroup, domain: Sequence[int] | None) -> list[int]:
-    if domain is None:
-        return list(range(group.degree))
-    dom = sorted(set(domain))
-    if any(not (0 <= x < group.degree) for x in dom):
-        raise ValueError("domain point out of range")
-    ds = set(dom)
-    for g in group.generators:
-        if any(g.images[x] not in ds for x in dom):
-            raise ValueError("domain is not invariant under the group")
-    return dom
+def is_transitive(group: PermGroup) -> bool:
+    return group.degree <= 1 or len(group.orbit(0)) == group.degree
 
 
-def is_transitive(group: PermGroup, domain: Sequence[int] | None = None) -> bool:
-    dom = _check_domain(group, domain)
-    if len(dom) <= 1:
+def is_2transitive(group: PermGroup) -> bool:
+    """One orbit on ordered pairs of distinct points (vacuously true in
+    degree at most 1)."""
+    n = group.degree
+    if n <= 1:
         return True
-    return set(group.orbit(dom[0])) >= set(dom)
+    (pairs,) = orbits(group.generators, [(0, 1)], lambda im, t: (im[t[0]], im[t[1]]))
+    return len(pairs) == n * (n - 1)
 
 
-def is_2transitive(group: PermGroup, domain: Sequence[int] | None = None) -> bool:
-    """Transitive on ordered pairs of distinct domain points (vacuously true
-    on domains of size at most 1)."""
-    dom = _check_domain(group, domain)
-    if len(dom) <= 1:
-        return True
-    if not is_transitive(group, dom):
-        return False
-    alpha = dom[0]
-    stab = group.point_stabilizer(alpha)
-    rest = set(dom) - {alpha}
-    beta = min(rest)
-    return set(stab.orbit(beta)) >= rest
-
-
-def minimal_block(group: PermGroup, pair: tuple[int, int],
-                  domain: Sequence[int] | None = None) -> BlockSystem:
-    """The finest G-invariant partition of the domain merging the given pair.
+def minimal_block(group: PermGroup, pair: tuple[int, int]) -> BlockSystem:
+    """The finest G-invariant partition of the points merging the given pair.
 
     Union-find closure: whenever two points are identified, every generator
     image of the pair is identified too.
     """
-    dom = _check_domain(group, domain)
-    if not is_transitive(group, dom):
-        raise ValueError("group is not transitive on the domain")
+    if not is_transitive(group):
+        raise ValueError("group is not transitive")
+    n = group.degree
     a, b = pair
-    if a == b or a not in dom or b not in dom:
+    if a == b or not (0 <= a < n and 0 <= b < n):
         raise ValueError("bad pair %r" % (pair,))
 
-    parent = {x: x for x in dom}
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -572,22 +550,17 @@ def minimal_block(group: PermGroup, pair: tuple[int, int],
                 queue.append((gx, gy))
 
     blocks: dict[int, list[int]] = {}
-    for x in dom:
+    for x in range(n):
         blocks.setdefault(find(x), []).append(x)
     return BlockSystem(blocks.values())
 
 
-def is_primitive(group: PermGroup, domain: Sequence[int] | None = None) -> bool:
+def is_primitive(group: PermGroup) -> bool:
     """Transitive with no nontrivial block system."""
-    dom = _check_domain(group, domain)
-    if not is_transitive(group, dom):
-        raise ValueError("group is not transitive on the domain")
-    if len(dom) <= 2:
-        return True
-    alpha = dom[0]
-    for omega in dom[1:]:
-        bs = minimal_block(group, (alpha, omega), dom)
-        if len(bs) > 1:
+    if not is_transitive(group):
+        raise ValueError("group is not transitive")
+    for omega in range(1, group.degree):
+        if len(minimal_block(group, (0, omega))) > 1:
             return False
     return True
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, is_connected
-from .matchings import _first_2arc, _group_or_aut, _is_2arc_transitive, check_group_action
+from .matchings import _first_2arc, _group_or_aut, check_group_action, is_2arc_transitive
 from .perms import BlockSystem, Perm, PermGroup, find_elements, orbits
 
 
@@ -77,7 +77,7 @@ def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> Cycl
     group = _group_or_aut(g, group)
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    if not _is_2arc_transitive(g, group):
+    if not is_2arc_transitive(g, group):
         raise ValueError("group is not 2-arc-transitive on the graph")
     first = _first_2arc(g)
     if first is None:

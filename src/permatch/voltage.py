@@ -222,7 +222,8 @@ def standard_assignment(g: Graph, p: int, tree: Iterable[tuple[int, int]]) -> Vo
 
 
 class CoverGraph:
-    """The derived cover of a voltage assignment, with its fiber structure."""
+    """The derived cover of a voltage assignment, with its fiber structure;
+    derived_cover builds it."""
 
     def __init__(self, assignment: VoltageAssignment, max_vertices: int = DEFAULT_COVER_CAP):
         base = assignment.base

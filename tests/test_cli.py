@@ -10,7 +10,9 @@ import sys
 import time
 
 from permatch import (
+    Graph,
     are_isomorphic,
+    automorphism_group,
     canonical_graph6,
     cycle,
     graph6_decode,
@@ -176,6 +178,27 @@ def test_group_file_input(tmp_path, capsys):
     code, _, err = run(capsys, ["matching", "analyze", path,
                                 "--edges", "0-1,2-3,4-5", "--group", str(bad)])
     assert code == 2 and "error:" in err
+
+
+def test_group_file_is_checked_once(tmp_path, capsys, monkeypatch):
+    path = write_graph(tmp_path, cycle(6))
+    gens = tmp_path / "d6.txt"
+    gens.write_text("(0 1 2 3 4 5)\n(1 5)(2 4)\n", encoding="ascii")
+    checked = []
+    original = Graph.is_automorphism
+    monkeypatch.setattr(Graph, "is_automorphism",
+                        lambda self, p: checked.append(p) or original(self, p))
+    aut_gens = len(automorphism_group(cycle(6)).generators)
+    for argv in (["arcs", path],
+                 ["matching", "analyze", path, "--edges", "0-1,2-3,4-5"],
+                 ["matching", "find", path, "-m", "3"],
+                 ["near-polygonal", path]):
+        # once per generator, by _read_group; every later check is a lookup
+        for group, calls in ((str(gens), 2), ("auto", aut_gens)):
+            checked.clear()
+            code, report, _ = run(capsys, argv + ["--group", group])
+            assert code == 0 and report is not None
+            assert len(checked) == calls, (argv, group)
 
 
 def test_cover_command(tmp_path, capsys):

@@ -181,6 +181,40 @@ def test_check_group_action():
         check_group_action(g, PermGroup([], degree=5))
 
 
+def test_check_group_action_remembers_passed_pairs(monkeypatch):
+    g = cycle(6)
+    rot = Perm.from_cycles(6, [range(6)])
+    grp = PermGroup([rot, Perm.from_cycles(6, [(1, 5), (2, 4)])])
+    checked = []
+    original = Graph.is_automorphism
+    monkeypatch.setattr(Graph, "is_automorphism",
+                        lambda self, p: checked.append(p) or original(self, p))
+
+    # checked in full against an equal copy of g, then only looked up for g
+    check_group_action(Graph(6, g.edges()), grp)
+    assert len(checked) == 2
+    check_group_action(g, grp)
+    assert matching_report(g, Matching([(0, 1), (2, 3), (4, 5)]), grp).permutable
+    assert is_arc_transitive(g, grp) and is_2arc_transitive(g, grp)
+    assert find_matching(g, grp, 3, MODE_PERMUTABLE) is not None
+    assert len(checked) == 2
+
+    # a graph the group does not act on still fails, as does one of
+    # another order, and the passed pair is still remembered
+    with pytest.raises(ValueError):
+        check_group_action(path_graph(6), grp)
+    with pytest.raises(ValueError):
+        check_group_action(complete(5), grp)
+    check_group_action(g, grp)
+
+    # replaced generators are checked again
+    grp.generators = (rot, Perm((1, 0, 2, 3, 4, 5)))
+    checked.clear()
+    with pytest.raises(ValueError):
+        check_group_action(g, grp)
+    assert len(checked) == 2
+
+
 def test_matching_orbit_stabilizer_identity():
     cases = [
         (cycle(6), Matching([(0, 1), (2, 3), (4, 5)])),
