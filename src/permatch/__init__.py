@@ -67,7 +67,6 @@ from .matchings import (
     check_group_action,
     degree_bound_check,
     find_matching,
-    induced_edge_action,
     is_2arc_transitive,
     is_arc_transitive,
     is_locally_primitive,

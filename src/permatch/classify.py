@@ -16,6 +16,7 @@ from .autiso import canonical_graph6
 from .graphs import (
     Graph,
     Matching,
+    _bits,
     _is_prime,
     complement,
     complete,
@@ -119,15 +120,10 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     reps: list[Graph] = []
     for mask in range(1 << len(pairs)):
         rows = [0] * n
-        bits = mask
-        i = 0
-        while bits:
-            if bits & 1:
-                u, v = pairs[i]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bits >>= 1
-            i += 1
+        for i in _bits(mask):
+            u, v = pairs[i]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         g = Graph._raw(n, tuple(rows))
         if not is_connected(g):
             continue

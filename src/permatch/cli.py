@@ -5,7 +5,8 @@ Every command prints a single JSON run report to stdout:
     {"command": ..., "inputs": ..., "result": ..., "elapsed_ms": ...}
 
 Exit codes: 0 on success (and when a queried property holds), 1 when a
-queried property fails or nothing is found, 2 on invalid input.
+queried property fails or nothing is found, 2 on invalid input, 3 on an
+internal error (one "error: internal: <Type>: <message>" line on stderr).
 """
 
 from __future__ import annotations
@@ -295,7 +296,10 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     started = time.monotonic()
     g = _read_graph(args.graph)
     with open(args.partition, "r", encoding="ascii") as fh:
-        blocks = json.load(fh)
+        try:
+            blocks = json.load(fh)
+        except RecursionError:
+            raise ValueError("partition file nests too deeply") from None
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("partition file must hold a JSON list of vertex lists")
     # bool is a subclass of int, but true/false are not vertices
@@ -404,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("error: internal: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ interface: complete_bipartite puts the first part at 0..a-1, cycle(n) runs
 around the cycle in order, odd_graph(m) orders the (m-1)-subsets
 colexicographically, paley_incidence(q) numbers (x, 0) as x and (x, 1) as
 q + x, and composition(g, m) numbers the copy pair (eta, i) as i*n + eta.
+
+Rows, and any other vertex or edge set held as a bitmask, are walked only
+through _bits, which visits the set bits alone, so a row costs its degree
+rather than n.
 """
 
 from __future__ import annotations
@@ -14,6 +18,21 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perms import Perm
+
+# the set-bit positions of every mask below 256: tiny graphs skip the loop
+_BYTE_BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a nonnegative mask, increasing."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class Graph:
@@ -49,24 +68,15 @@ class Graph:
         return bool((self.rows[u] >> v) & 1)
 
     def neighbors(self, u: int) -> list[int]:
-        row = self.rows[u]
-        return [v for v in range(self.n) if (row >> v) & 1]
+        return list(_bits(self.rows[u]))
 
     def degree(self, u: int) -> int:
         return self.rows[u].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            row = self.rows[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        return [(u, v) for u, row in enumerate(self.rows)
+                for v in _bits(row >> (u + 1) << (u + 1))]
 
     @property
     def num_edges(self) -> int:
@@ -78,15 +88,10 @@ class Graph:
             raise ValueError("degree mismatch")
         rows = [0] * self.n
         im = p.images
-        for u in range(self.n):
-            r = self.rows[u]
+        for u, row in enumerate(self.rows):
             acc = 0
-            v = 0
-            while r:
-                if r & 1:
-                    acc |= 1 << im[v]
-                r >>= 1
-                v += 1
+            for v in _bits(row):
+                acc |= 1 << im[v]
             rows[im[u]] = acc
         return Graph._raw(self.n, tuple(rows))
 
@@ -468,16 +473,11 @@ def distance(g: Graph, u: int, v: int) -> int:
         d += 1
         nxt = []
         for x in frontier:
-            row = g.rows[x] & ~seen
-            y = 0
-            while row:
-                if row & 1:
-                    if y == v:
-                        return d
-                    seen |= 1 << y
-                    nxt.append(y)
-                row >>= 1
-                y += 1
+            for y in _bits(g.rows[x] & ~seen):
+                if y == v:
+                    return d
+                seen |= 1 << y
+                nxt.append(y)
         frontier = nxt
     return -1
 
@@ -487,10 +487,8 @@ def is_connected(g: Graph) -> bool:
     seen = frontier = 1
     while frontier:
         nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
+        for v in _bits(frontier):
+            nxt |= rows[v]
         frontier = nxt & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1

@@ -104,12 +104,6 @@ def matching_stabilizer(g: Graph, group: PermGroup, matching: Matching) -> PermG
     return subgroup_search(rebased, test, prune=keep)
 
 
-def induced_edge_action(stabilizer: PermGroup, matching: Matching) -> PermGroup:
-    """The image of a matching-stabilizing group acting on edge indices."""
-    image, _ = induced_action(stabilizer, [set(e) for e in matching])
-    return image
-
-
 @dataclass(frozen=True)
 class MatchingReport:
     """How a group acts on an m-matching.
@@ -149,7 +143,7 @@ def matching_report(g: Graph, matching: Matching,
     """Full symmetry report; group defaults to the automorphism group of g."""
     group = _group_or_aut(g, group)
     stab = matching_stabilizer(g, group, matching)
-    image = induced_edge_action(stab, matching)
+    image, _ = induced_action(stab, [set(e) for e in matching])
     m = len(matching)
     induced_order = image.order()
     return MatchingReport(

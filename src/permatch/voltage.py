@@ -341,7 +341,12 @@ def lift_automorphism(cover: CoverGraph, a: Perm) -> Perm:
 
 
 def covering_transformations(cover: CoverGraph) -> PermGroup:
-    """Fiber translations (v, h) -> (v, h + t); one generator per basis vector."""
+    """The group of fiber translations (v, h) -> (v, h + t)."""
+    return PermGroup(_translations(cover), degree=cover.graph.n)
+
+
+def _translations(cover: CoverGraph) -> list[Perm]:
+    """The translations by each basis vector, in basis order."""
     n = cover.base.n
     gens = []
     for i in range(cover.k):
@@ -353,7 +358,7 @@ def covering_transformations(cover: CoverGraph) -> PermGroup:
             for v in range(n):
                 images[num_h * n + v] = shifted + v
         gens.append(Perm(images))
-    return PermGroup(gens, degree=cover.graph.n)
+    return gens
 
 
 def lift_group(cover: CoverGraph, base_group: PermGroup) -> PermGroup:
@@ -361,7 +366,7 @@ def lift_group(cover: CoverGraph, base_group: PermGroup) -> PermGroup:
     covering transformations; its order is |base group| * p^k."""
     check_group_action(cover.base, base_group)
     gens = [lift_automorphism(cover, a) for a in base_group.generators]
-    gens.extend(covering_transformations(cover).generators)
+    gens.extend(_translations(cover))
     lifted = PermGroup(gens, degree=cover.graph.n)
     expected = base_group.order() * cover.p ** cover.k
     if lifted.order() != expected:

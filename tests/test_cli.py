@@ -296,6 +296,27 @@ def test_quotient_command(tmp_path, capsys):
         assert code == 2 and "error:" in err and "is not a vertex" in err, name
 
 
+def test_quotient_rejects_deeply_nested_partition(tmp_path, capsys):
+    # json.load raises RecursionError on this; it is bad input, not a failed property
+    path = write_graph(tmp_path, cycle(6))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="ascii")
+    code, report, err = run(capsys, ["quotient", path, "--partition", str(deep)])
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("permatch.cli.automorphism_group", boom)
+    path = write_graph(tmp_path, cycle(6))
+    code, report, err = run(capsys, ["aut", path])
+    assert code == 3 and report is None
+    assert err == "error: internal: RuntimeError: boom\n"
+
+
 def test_arcs_command(tmp_path, capsys):
     path = write_graph(tmp_path, petersen())
     code, report, _ = run(capsys, ["arcs", path])

@@ -1,6 +1,8 @@
 """Graph families, constructions, and graph6 I/O.
 
-graph6 encoding is cross-checked against networkx; family constructors are
+graph6 encoding is cross-checked against networkx, and the row walks
+(neighbors, edges, apply_perm, distance, is_connected) against has_edge
+scans and networkx; family constructors are
 checked against their defining counts and against isomorphisms the families
 are known to satisfy.
 """
@@ -192,6 +194,33 @@ def test_distance_and_connectivity():
     assert not is_connected(two_triangles)
     assert distance(two_triangles, 0, 3) == -1
     assert is_connected(cycle(5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_row_walks_against_naive_scans(n):
+    """Every set-bit walk over rows agrees with has_edge scans and networkx,
+    on sizes at and across machine-word boundaries."""
+    rng = random.Random(6000 + n)
+    for p in (0.02, 0.1, 0.5, 0.9):
+        g = random_graph(rng, n, p)
+        naive = [(u, v) for u, v in combinations(range(n), 2) if g.has_edge(u, v)]
+        assert g.edges() == naive
+        for u in range(n):
+            assert g.neighbors(u) == [v for v in range(n) if v != u and g.has_edge(u, v)]
+
+        images = list(range(n))
+        rng.shuffle(images)
+        perm = Perm(images)
+        assert g.apply_perm(perm) == Graph(n, [(images[u], images[v]) for u, v in naive])
+
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(naive)
+        assert is_connected(g) == nx.is_connected(h)
+        for u in rng.sample(range(n), min(n, 5)):
+            lengths = nx.single_source_shortest_path_length(h, u)
+            assert [distance(g, u, v) for v in range(n)] == \
+                [lengths.get(v, -1) for v in range(n)]
 
 
 def test_hypercube_and_folded():
