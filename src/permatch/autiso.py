@@ -1,11 +1,17 @@
 """Graph automorphisms, isomorphism testing and canonical forms.
 
 Equitable-partition refinement (splitting cells by neighbor counts into
-every cell) drives a backtracking search over individualized vertices.
-Leaves are discrete partitions, read as labelings; the canonical form is the
-lexicographically smallest relabeled adjacency bit-string over explored
-leaves, and pairs of leaves with equal bit-strings yield automorphisms that
-prune the remaining tree.  Intended scale is tens of vertices.
+every cell) drives a backtracking search over individualized vertices
+(McKay 1981, Practical graph isomorphism).  A leaf is a discrete partition,
+read as a labeling; its key is the relabeled graph's adjacency rows as a
+tuple, and the canonical form is the leaf with the least key.  A leaf whose
+key equals the first leaf's gives an automorphism, and the search jumps back
+to the node where it left the first path: the subtree it abandons is that
+automorphism's image of the first path's fully explored subtree, so the set
+of leaf keys, and the canonical form, is unchanged.  A node skips a child in
+the orbit (perms.orbits) of an explored sibling under the automorphisms
+found so far that fix the node's prefix.  Each automorphism found joins two
+orbits of those found before it, so there are at most n - 1.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import functools
 from dataclasses import dataclass
 
 from .graphs import Graph, graph6_encode
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, orbits
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -45,79 +51,55 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
 
 class _Search:
     def __init__(self, g: Graph):
-        self.rows = g.rows
-        self.n = g.n
+        self.g = g
         self.autos: list[Perm] = []
-        self.first: tuple[int, list[int], list[int]] | None = None  # key, lab, inv
-        self.best: tuple[int, list[int], list[int]] | None = None
+        self.path: tuple[int, ...] = ()  # individualized vertices of the first leaf
+        self.first: tuple[tuple[int, ...], Perm] | None = None  # rows, labeling
+        self.best: tuple[tuple[int, ...], Perm] | None = None
 
     def run(self) -> None:
-        self._recurse([list(range(self.n))], ())
+        self._recurse([list(range(self.g.n))], ())
 
-    def _recurse(self, cells: list[list[int]], prefix: tuple[int, ...]) -> None:
-        cells = _refine(self.rows, cells)
+    def _recurse(self, cells: list[list[int]], prefix: tuple[int, ...]) -> int:
+        """Search below prefix; return the depth at which the search resumes."""
+        cells = _refine(self.g.rows, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            self._leaf(cells)
-            return
+            return self._leaf(cells, prefix)
+        fixers: list[Perm] = []
+        tested = 0
         explored: list[int] = []
+        pruned: set[int] = set()
         for v in sorted(cells[target]):
-            if explored and self._known_image(v, explored, prefix):
+            if v in pruned:
                 continue
             child = cells[:target] + [[v], [x for x in cells[target] if x != v]] + cells[target + 1:]
-            self._recurse(child, prefix + (v,))
+            depth = self._recurse(child, prefix + (v,))
+            if depth < len(prefix):
+                return depth
             explored.append(v)
+            fixers += [a for a in self.autos[tested:] if all(a.images[p] == p for p in prefix)]
+            tested = len(self.autos)
+            if fixers:
+                pruned = {x for tree in orbits(fixers, explored) for x in tree}
+        return len(prefix)
 
-    def _known_image(self, v: int, explored: list[int], prefix: tuple[int, ...]) -> bool:
-        """Is v in the orbit of an explored sibling under automorphisms found
-        so far that fix the individualized prefix pointwise?"""
-        fixers = [a for a in self.autos if all(a.images[p] == p for p in prefix)]
-        if not fixers:
-            return False
-        orbit = set(explored)
-        queue = list(explored)
-        while queue:
-            x = queue.pop()
-            for a in fixers:
-                y = a.images[x]
-                if y not in orbit:
-                    if y == v:
-                        return True
-                    orbit.add(y)
-                    queue.append(y)
-        return False
-
-    def _leaf(self, cells: list[list[int]]) -> None:
-        n = self.n
-        inv = [c[0] for c in cells]  # position -> vertex
-        lab = [0] * n  # vertex -> position
-        for pos, v in enumerate(inv):
+    def _leaf(self, cells: list[list[int]], prefix: tuple[int, ...]) -> int:
+        lab = [0] * self.g.n  # vertex -> position
+        for pos, (v,) in enumerate(cells):
             lab[v] = pos
-        key = 0
-        rows = self.rows
-        for i in range(n):
-            ri = rows[inv[i]]
-            for j in range(i + 1, n):
-                key = (key << 1) | ((ri >> inv[j]) & 1)
-        entry = (key, lab, inv)
+        labeling = Perm._raw(tuple(lab))
+        rows = self.g.apply_perm(labeling).rows
         if self.first is None:
-            self.first = entry
-            self.best = entry
-            return
-        if key == self.first[0]:
-            self._record(self.first, entry)
-        assert self.best is not None
-        if key == self.best[0] and self.best is not self.first:
-            self._record(self.best, entry)
-        if key < self.best[0]:
-            self.best = entry
-
-    def _record(self, a, b) -> None:
-        _, lab_a, _ = a
-        _, _, inv_b = b
-        sigma = Perm([inv_b[lab_a[x]] for x in range(self.n)])
-        if not sigma.is_identity() and sigma not in self.autos:
-            self.autos.append(sigma)
+            self.path, self.first, self.best = prefix, (rows, labeling), (rows, labeling)
+        elif rows == self.first[0]:
+            # an automorphism carrying the first leaf here, and so the first
+            # path's subtree below the divergence onto the one holding this leaf
+            self.autos.append(self.first[1] * labeling.inverse())
+            return next(i for i, (a, b) in enumerate(zip(prefix, self.path)) if a != b)
+        elif rows < self.best[0]:
+            self.best = (rows, labeling)
+        return len(prefix)
 
 
 @functools.lru_cache(maxsize=256)
@@ -148,9 +130,8 @@ def automorphism_group(g: Graph) -> PermGroup:
 def canonical_form(g: Graph) -> CanonicalForm:
     s = _search_graph(g)
     assert s.best is not None
-    _, lab, _ = s.best
-    labeling = Perm(lab)
-    return CanonicalForm(labeling, graph6_encode(g.apply_perm(labeling)))
+    rows, labeling = s.best
+    return CanonicalForm(labeling, graph6_encode(Graph._raw(g.n, rows)))
 
 
 def canonical_graph6(g: Graph) -> str:

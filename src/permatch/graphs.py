@@ -552,19 +552,10 @@ def graph6_encode(g: Graph) -> str:
         header = chr(126) + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for this encoder")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append((g.rows[u] >> v) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(63 + val))
-    return header + "".join(chars)
+    # column v holds the pairs (u, v) with u < v, u increasing
+    bits = "".join(format(g.rows[v] & ((1 << v) - 1), "0%db" % v)[::-1] for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
 
 
 def graph6_decode(text: str) -> Graph:
@@ -589,15 +580,12 @@ def graph6_decode(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError("graph6 length mismatch for n=%d" % n)
-    bits = []
-    for d in body:
-        for s6 in (5, 4, 3, 2, 1, 0):
-            bits.append((d >> s6) & 1)
-    edges = []
-    i = 0
+    bits = "".join(format(d, "06b") for d in body)
+    rows = [0] * n
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph(n, edges)
+        start = v * (v - 1) // 2
+        col = int(bits[start:start + v][::-1], 2)
+        rows[v] |= col
+        for u in _bits(col):
+            rows[u] |= 1 << v
+    return Graph._raw(n, tuple(rows))

@@ -105,7 +105,7 @@ class Perm:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def moved_points(self) -> list[int]:
         return [i for i, x in enumerate(self.images) if i != x]

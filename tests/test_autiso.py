@@ -1,14 +1,20 @@
 """Automorphism groups and canonical forms.
 
 The oracle for small graphs is exhaustive: filter all n! vertex
-permutations for adjacency preservation and compare orders.  Canonical
-forms are checked for invariance under random relabelings and for
-separating non-isomorphic graphs.
+permutations for adjacency preservation and compare orders.  Larger graphs
+are checked against closed-form orders under random relabelings, and
+isomorphism answers against networkx.  Canonical forms are checked for
+invariance under random relabelings and for separating non-isomorphic
+graphs, including two strongly regular graphs that refinement alone cannot
+tell apart.
 """
 
 import math
 import random
 from itertools import combinations, permutations
+
+import networkx as nx
+import pytest
 
 from permatch import (
     Graph,
@@ -27,6 +33,7 @@ from permatch import (
     graph6_decode,
     hypercube,
     matching_join,
+    odd_graph,
     path_graph,
     petersen,
 )
@@ -149,3 +156,85 @@ def test_aut_group_acts_on_decoded_graphs():
     # encode/decode does not disturb the automorphism computation
     g = graph6_decode(canonical_graph6(petersen()))
     assert automorphism_group(g).order() == 120
+
+
+def _closed_form_cases():
+    for n in range(1, 26):
+        yield "K%d" % n, complete(n), math.factorial(n)
+    for n in range(3, 13):
+        yield "C%d" % n, cycle(n), 2 * n
+    for m in range(1, 7):
+        yield "Q%d" % m, hypercube(m), 2 ** m * math.factorial(m)
+    for m in range(2, 5):
+        yield "O%d" % m, odd_graph(m)[0], math.factorial(2 * m - 1)
+
+
+@pytest.mark.parametrize("name,g,order", list(_closed_form_cases()),
+                         ids=[c[0] for c in _closed_form_cases()])
+def test_closed_form_orders_under_relabeling(name, g, order):
+    h = relabel(g, random_perm(random.Random(name), g.n))
+    grp = automorphism_group(h)
+    assert grp.order() == order
+    assert len(grp.generators) <= g.n - 1
+    assert all(h.is_automorphism(p) for p in grp.generators)
+
+
+def shrikhande():
+    """Z_4 x Z_4, (a, b) as 4a + b, joined by the steps +-(1, 0), +-(0, 1), +-(1, 1)."""
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return Graph(16, [(u, v) for u, v in combinations(range(16), 2)
+                      if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps])
+
+
+def rook_4x4():
+    """K_4 x K_4: two cells of a 4 x 4 board are joined when they share a line."""
+    return Graph(16, [(u, v) for u, v in combinations(range(16), 2)
+                      if u // 4 == v // 4 or u % 4 == v % 4])
+
+
+def test_strongly_regular_pair_refinement_cannot_split():
+    rng = random.Random(16)
+    s, r = shrikhande(), rook_4x4()
+    for g in (s, r):
+        assert sorted(g.degree(v) for v in range(16)) == [6] * 16
+    for g, order in ((s, 192), (r, 1152)):
+        h = relabel(g, random_perm(rng, 16))
+        grp = automorphism_group(h)
+        assert grp.order() == order
+        assert len(grp.generators) <= 15
+    assert are_isomorphic(s, r) is None
+    assert canonical_graph6(s) != canonical_graph6(r)
+    assert canonical_graph6(relabel(s, random_perm(rng, 16))) == canonical_graph6(s)
+
+
+def _to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_are_isomorphic_against_networkx():
+    rng = random.Random(1212)
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.5, 0.7]))
+        kind = rng.randrange(3)
+        if kind == 0:  # isomorphic by construction
+            h = relabel(g, random_perm(rng, n))
+        elif kind == 1:  # same order and size
+            pairs = list(combinations(range(n), 2))
+            h = Graph(n, rng.sample(pairs, g.num_edges))
+        else:  # one edge moved, then relabeled
+            edges = g.edges()
+            free = [e for e in combinations(range(n), 2) if not g.has_edge(*e)]
+            if edges and free:
+                edges.remove(rng.choice(edges))
+                edges.append(rng.choice(free))
+            h = relabel(Graph(n, edges), random_perm(rng, n))
+        w = are_isomorphic(g, h)
+        expected = nx.is_isomorphic(_to_nx(g), _to_nx(h))
+        assert (w is not None) == expected
+        if w is not None:
+            assert g.apply_perm(w) == h
+

@@ -26,6 +26,7 @@ from permatch import (
     composition,
     cycle,
     degree_sequence,
+    derived_cover,
     distance,
     empty_graph,
     folded_hypercube,
@@ -43,7 +44,9 @@ from permatch import (
     paley_incidence_cliques,
     path_graph,
     petersen,
+    spanning_tree,
     srg_parameters,
+    standard_assignment,
     subdivide_all,
     subdivide_matching_twice,
     subdivide_non_matching,
@@ -83,6 +86,8 @@ def test_graph6_against_networkx():
     for n, p in [(1, 0.5), (2, 0.5), (5, 0.3), (11, 0.5), (12, 0.9),
                  (30, 0.2), (63, 0.1), (80, 0.05)]:
         cases.append(random_graph(rng, n, p))
+    # a cover-sized case: the 640-vertex p = 2 cover of Petersen
+    cases.append(derived_cover(standard_assignment(petersen(), 2, spanning_tree(petersen()))).graph)
     for g in cases:
         mine = graph6_encode(g)
         theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()

@@ -2,7 +2,8 @@
 
 Stabilizer orders are checked against an exhaustive filter over all n!
 vertex permutations; find_matching is checked against a naive scan of
-every m-matching of each small graph.
+every m-matching of each small graph; matching_report with the default
+group is checked to be invariant under relabeling.
 """
 
 import math
@@ -10,6 +11,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from permatch import (
     Graph,
@@ -390,4 +393,34 @@ def test_degree_bound_check_verifies_group_once(monkeypatch):
     monkeypatch.setattr(Graph, "is_automorphism",
                         lambda self, p: checked.append(p) or original(self, p))
     assert degree_bound_check(g, grp, Matching([(0, 1), (2, 3), (4, 5)]))
-    assert checked == list(grp.generators) and len(checked) == 3
+    assert checked == list(grp.generators) and 1 <= len(checked) <= g.n - 1
+
+
+@st.composite
+def graphs_with_matchings(draw):
+    """A graph on 2..8 vertices, a nonempty matching of it and a relabeling."""
+    n = draw(st.integers(2, 8))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          min_size=1, unique=True))
+    used: set[int] = set()
+    pairs = []
+    for u, v in draw(st.permutations(edges)):
+        if u not in used and v not in used:
+            pairs.append((u, v))
+            used |= {u, v}
+    m = draw(st.integers(1, len(pairs)))
+    return Graph(n, edges), Matching(pairs[:m]), Perm(draw(st.permutations(range(n))))
+
+
+@seed(2017)
+@settings(max_examples=150, deadline=None, database=None)
+@given(graphs_with_matchings())
+def test_matching_report_invariant_under_relabeling(case):
+    g, matching, sigma = case
+    moved = Matching([(sigma.apply(a), sigma.apply(b)) for a, b in matching])
+
+    def fields(rep):
+        return (rep.group_order, rep.stabilizer_order, rep.induced_order,
+                rep.permutable, rep.two_transitive)
+
+    assert fields(matching_report(g.apply_perm(sigma), moved)) == fields(matching_report(g, matching))

@@ -133,7 +133,7 @@ def test_certificate_verifies_group_once(monkeypatch):
     monkeypatch.setattr(Graph, "is_automorphism",
                         lambda self, p: checked.append(p) or original(self, p))
     assert near_polygonal_certificate(g, grp) is not None
-    assert checked == list(grp.generators) and len(checked) == 6
+    assert checked == list(grp.generators) and 1 <= len(checked) <= g.n - 1
 
 
 def test_quotient_by_fibers_recovers_base():
