@@ -12,6 +12,12 @@ of leaf keys, and the canonical form, is unchanged.  A node skips a child in
 the orbit (perms.orbits) of an explored sibling under the automorphisms
 found so far that fix the node's prefix.  Each automorphism found joins two
 orbits of those found before it, so there are at most n - 1.
+
+The automorphisms found are a strong generating set relative to the first
+path (McKay 1981), so automorphism_group reads its chain off the search:
+at the first-path node of depth i, each child in the Aut_{path[:i]}-orbit
+of path[i] is explored, which records an automorphism fixing path[:i] and
+carrying path[i] onto it, or pruned by one; only the identity fixes the path.
 """
 
 from __future__ import annotations
@@ -119,12 +125,15 @@ class CanonicalForm:
 
 
 def automorphism_group(g: Graph) -> PermGroup:
-    """The full automorphism group of g, generators verified."""
+    """Aut(g), generators verified and sifted through its read-off chain."""
     s = _search_graph(g)
+    group = PermGroup._from_strong_generators(s.path, s.autos, g.n)
     for a in s.autos:
         if not g.is_automorphism(a):
             raise AssertionError("search produced a non-automorphism")
-    return PermGroup(s.autos, degree=g.n)
+        if a not in group:
+            raise AssertionError("an automorphism does not sift through the chain")
+    return group
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

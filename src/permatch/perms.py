@@ -5,7 +5,8 @@ deterministic base and strong generating set, which makes orders,
 membership tests, stabilizers and backtrack searches exact and
 reproducible.  A chain comes from Schreier-Sims on generators (PermGroup),
 from random Schreier-Sims to a known order (rebase), or is read off a
-backtrack search (subgroup_search).  Orders are plain Python ints.
+backtrack search (subgroup_search and autiso.automorphism_group).  Every
+transversal is grown by the one orbit walk, orbits.  Orders are Python ints.
 """
 
 from __future__ import annotations
@@ -240,70 +241,50 @@ def _append_gen(levels: list[_Level], p: Perm, j: int) -> int:
     return j
 
 
-def _close_orbit(levels: list[_Level], i: int) -> Iterator[tuple[Perm, Perm, int]]:
-    """Grow the transversal of level i to the orbit of its base point.
-
-    Generators of every level >= i act on this orbit (they fix the earlier
-    base points, not this one's orbit).  Each (point, generator) pair is
-    walked once in the level's life: d -> e stores u_d * g as e's entry if
-    e is new, and is yielded as (u_d, g, e) otherwise, for the Schreier
-    generator u_d * g * u_e^-1.  Entries are never overwritten.
-    """
+def _grow(levels: list[_Level], i: int) -> None:
+    """Grow level i's transversal to the orbit of its base point under the
+    generators of every level >= i: each point y that the orbits walk reaches
+    from x by g gets the entry u_x * g; entries are never overwritten."""
     lvl = levels[i]
     gens = [g for l in levels[i:] for g in l.gens]
-    while True:
-        progressed = False
-        for d in list(lvl.transversal.keys()):
-            u = lvl.transversal[d]
-            for g in gens:
-                pair = (d, id(g))  # the level's generators outlive its pairs
-                if pair in lvl._done:
-                    continue
-                progressed = True
-                lvl._done.add(pair)
-                e = g.images[d]
-                if e in lvl.transversal:
-                    yield u, g, e
-                else:
-                    ue = u * g
-                    lvl.transversal[e] = ue
-                    lvl.inverse[e] = ue.inverse()
-        if not progressed:
-            return
+    (tree,) = orbits(gens, [lvl.point])
+    for y, link in tree.items():
+        if y not in lvl.transversal:
+            x, k = link
+            u = lvl.transversal[x] * gens[k]
+            lvl.transversal[y] = u
+            lvl.inverse[y] = u.inverse()
 
 
 def _extend_level(levels: list[_Level], i: int) -> int | None:
-    """Close the orbit at level i and sift its Schreier generators; return
-    the level where a residue got added, or None once level i is complete."""
+    """Grow the orbit at level i, then sift each Schreier generator
+    u_d * g * u_{d^g}^-1 not sifted before; return the level where a residue
+    got added, or None once level i is complete."""
+    _grow(levels, i)
     lvl = levels[i]
-    for u, g, e in _close_orbit(levels, i):
-        schreier = u * g * lvl.inverse[e]
-        if schreier.is_identity():
-            continue
-        residue, j = _sift(levels, schreier, i + 1)
-        if not residue.is_identity():
-            return _append_gen(levels, residue, j)
+    gens = [g for l in levels[i:] for g in l.gens]
+    for d, u in lvl.transversal.items():
+        for g in gens:
+            pair = (d, id(g))  # the level's generators outlive its pairs
+            if pair in lvl._done:
+                continue
+            lvl._done.add(pair)
+            ug = u * g
+            e = g.images[d]
+            if ug == lvl.transversal[e]:
+                continue
+            residue, j = _sift(levels, ug * lvl.inverse[e], i + 1)
+            if not residue.is_identity():
+                return _append_gen(levels, residue, j)
     return None
-
-
-def _complete_chain(levels: list[_Level], start: int) -> None:
-    """Re-establish the chain condition from the deepest level upward; a new
-    residue drops the work pointer back down to its level."""
-    i = min(start, len(levels) - 1)
-    while i >= 0:
-        j = _extend_level(levels, i)
-        if j is None:
-            i -= 1
-        else:
-            i = j
 
 
 class PermGroup:
     """A permutation group with a deterministic base and strong generating set.
 
     The constructor runs Schreier-Sims on the generators, and each new level
-    picks the smallest moved point as base point; rebase and subgroup_search
-    build their chains otherwise (see the module docstring).
+    picks the smallest moved point as base point; rebase, subgroup_search and
+    automorphism_group build chains otherwise (see the module docstring).
     """
 
     def __init__(self, generators: Iterable[Perm], degree: int | None = None):
@@ -318,12 +299,15 @@ class PermGroup:
         self.generators = gens
         self._levels: list[_Level] = []
         for g in gens:
-            if g.is_identity():
-                continue
             residue, i = _sift(self._levels, g)
-            if not residue.is_identity():
-                j = _append_gen(self._levels, residue, i)
-                _complete_chain(self._levels, j)
+            if residue.is_identity():
+                continue
+            # re-establish the chain condition from the deepest level upward;
+            # a new residue drops the work pointer back down to its level
+            i = _append_gen(self._levels, residue, i)
+            while i >= 0:
+                j = _extend_level(self._levels, i)
+                i = i - 1 if j is None else j
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -336,6 +320,18 @@ class PermGroup:
         group = object.__new__(cls)
         group.degree, group.generators, group._levels = degree, tuple(generators), levels
         return group
+
+    @classmethod
+    def _from_strong_generators(cls, base: Sequence[int], gens: Sequence[Perm],
+                                degree: int) -> "PermGroup":
+        # internal: gens, each moving some base point, must be a strong
+        # generating set relative to base; each is filed at the first it moves
+        levels = [_Level(b, degree) for b in base]
+        for g in gens:
+            levels[next(i for i, b in enumerate(base) if g.images[b] != b)].gens.append(g)
+        for i in range(len(levels)):
+            _grow(levels, i)
+        return cls._from_chain(gens, degree, levels)
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -372,7 +368,7 @@ class PermGroup:
         product of one random transversal entry per level of this complete
         chain, deepest first, is a uniformly random element.  Each is sifted
         into levels pinned to base_hint; a residue becomes a strong generator
-        and grows the orbits of its level and every earlier one by closure
+        and grows the orbits of its level and every earlier one by orbit walks
         alone.  The loop stops when the product of the basic orbit lengths
         equals self.order(), which proves the new chain complete.  The random
         source has a fixed seed, so a call always builds the same chain.
@@ -391,8 +387,7 @@ class PermGroup:
             if not residue.is_identity():
                 _append_gen(levels, residue, j)
                 for i in range(j + 1):
-                    for _ in _close_orbit(levels, i):
-                        pass
+                    _grow(levels, i)
         return PermGroup._from_chain(self.generators, self.degree, levels)
 
     def orbit(self, point: int) -> tuple[int, ...]:
@@ -432,10 +427,9 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
     """
     levels = group._levels
     k = len(levels)
-    n = group.degree
     base_pts = [lvl.point for lvl in levels]
     orbits = [sorted(lvl.transversal) for lvl in levels]
-    chain = [_Level(b, n) for b in base_pts]
+    found: list[Perm] = []
 
     def extend(i: int, w: Perm, imgs: list[int]) -> Perm | None:
         if i == k:
@@ -462,11 +456,8 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
             imgs = prefix + [d]
             g = extend(i + 1, levels[i].transversal[d], imgs)
             if g is not None:
-                chain[i].gens.append(g)
-                chain[i].transversal[d] = g
-                chain[i].inverse[d] = g.inverse()
-
-    return PermGroup._from_chain([g for lvl in reversed(chain) for g in lvl.gens], n, chain)
+                found.append(g)
+    return PermGroup._from_strong_generators(base_pts, found, group.degree)
 
 
 def find_elements(group: PermGroup, mappings: Sequence[tuple[int, int]],

@@ -1,8 +1,9 @@
 """Automorphism groups and canonical forms.
 
 The oracle for small graphs is exhaustive: filter all n! vertex
-permutations for adjacency preservation and compare orders.  Larger graphs
-are checked against closed-form orders under random relabelings, and
+permutations for adjacency preservation and compare orders and membership
+in the chain read off the search.  Larger graphs are checked against
+closed-form orders under random relabelings and against Schreier-Sims, and
 isomorphism answers against networkx.  Canonical forms are checked for
 invariance under random relabelings and for separating non-isomorphic
 graphs, including two strongly regular graphs that refinement alone cannot
@@ -39,15 +40,6 @@ from permatch import (
 )
 
 
-def brute_aut_order(g):
-    count = 0
-    edges = g.edges()
-    for imgs in permutations(range(g.n)):
-        if all((g.rows[imgs[u]] >> imgs[v]) & 1 for u, v in edges):
-            count += 1
-    return count
-
-
 def random_graph(rng, n, p):
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)
@@ -81,9 +73,16 @@ def test_aut_order_matches_brute_force():
         cases.append(random_graph(rng, n, rng.choice([0.2, 0.5, 0.8])))
     for g in cases:
         grp = automorphism_group(g)
-        assert grp.order() == brute_aut_order(g)
         for p in grp.generators:
             assert all(g.has_edge(p.apply(u), p.apply(v)) for u, v in g.edges())
+        # the chain read off the search, against every permutation
+        edges = g.edges()
+        count = 0
+        for imgs in permutations(range(g.n)):
+            is_aut = all((g.rows[imgs[u]] >> imgs[v]) & 1 for u, v in edges)
+            assert (Perm(imgs) in grp) == is_aut, (g, imgs)
+            count += is_aut
+        assert grp.order() == count
 
 
 def test_known_aut_orders():
@@ -163,9 +162,10 @@ def _closed_form_cases():
         yield "K%d" % n, complete(n), math.factorial(n)
     for n in range(3, 13):
         yield "C%d" % n, cycle(n), 2 * n
-    for m in range(1, 7):
+    yield "K40", complete(40), math.factorial(40)
+    for m in range(1, 8):
         yield "Q%d" % m, hypercube(m), 2 ** m * math.factorial(m)
-    for m in range(2, 5):
+    for m in range(2, 6):
         yield "O%d" % m, odd_graph(m)[0], math.factorial(2 * m - 1)
 
 
@@ -177,6 +177,15 @@ def test_closed_form_orders_under_relabeling(name, g, order):
     assert grp.order() == order
     assert len(grp.generators) <= g.n - 1
     assert all(h.is_automorphism(p) for p in grp.generators)
+
+
+@pytest.mark.parametrize("g", [pytest.param(hypercube(6), id="Q6"),
+                               pytest.param(odd_graph(4)[0], id="O4"),
+                               pytest.param(complete(12), id="K12")])
+def test_read_off_chain_order_matches_schreier_sims(g):
+    h = relabel(g, random_perm(random.Random(g.n), g.n))
+    grp = automorphism_group(h)
+    assert grp.order() == PermGroup(grp.generators, degree=g.n).order()
 
 
 def shrikhande():

@@ -94,18 +94,32 @@ def test_cycle_notation_round_trip():
 
 def test_order_and_membership_match_brute_closure():
     rng = random.Random(20260815)
-    for trial in range(40):
-        degree = rng.randrange(3, 9)
-        gens = random_group(rng, degree, rng.randrange(1, 4))
+
+    def check(gens):
+        degree = gens[0].degree
         elements = brute_closure(gens)
         group = PermGroup(gens)
-        assert group.order() == len(elements), (trial, degree)
+        assert group.order() == len(elements), gens
         for t in rng.sample(sorted(elements), min(20, len(elements))):
             assert Perm(t) in group
         for _ in range(20):
             images = list(range(degree))
             rng.shuffle(images)
             assert (Perm(images) in group) == (tuple(images) in elements)
+        return len(elements)
+
+    for _ in range(40):
+        degree = rng.randrange(3, 9)
+        check(random_group(rng, degree, rng.randrange(1, 4)))
+    # Closed forms whose Schreier-Sims restarts at deep levels.
+    # S_2 wr S_4 on the pairs {2i, 2i + 1}: 2^4 * 4!
+    assert check([Perm.from_cycles(8, [(0, 1)]), Perm.from_cycles(8, [(0, 2), (1, 3)]),
+                  Perm.from_cycles(8, [(0, 2, 4, 6), (1, 3, 5, 7)])]) == 384
+    # PGL(2,7) on the projective line, infinity as 7: x + 1, 3x and -1/x
+    pgl = [[(x + 1) % 7 for x in range(7)] + [7],
+           [3 * x % 7 for x in range(7)] + [7],
+           [7] + [-pow(x, -1, 7) % 7 for x in range(1, 7)] + [0]]
+    assert check([Perm(images) for images in pgl]) == 8 * 7 * 6
 
 
 def test_known_group_orders():
