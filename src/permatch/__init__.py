@@ -5,7 +5,7 @@ joins, matching joins, Paley-type incidence graphs, ...), computes
 automorphism groups and canonical forms, decides whether a group acts on a
 matching as the full symmetric group or 2-transitively, lifts graphs and
 matchings through voltage covers, certifies near-polygonal cycle systems,
-and checks the small catalogs exhaustively.
+and classifies the graphs with such a perfect matching by group.
 """
 
 from types import ModuleType as _ModuleType
@@ -22,9 +22,7 @@ from .classify import (
     CatalogEntry,
     classification_report,
     classify_perfect_matchings,
-    enumerate_connected,
     matching_catalog,
-    perfect_matchings,
     verify_catalog_membership,
 )
 from .graphs import (

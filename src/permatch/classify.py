@@ -1,14 +1,14 @@
-"""Catalogs of matching-symmetric graphs and exhaustive small-order checks.
+"""Catalogs of matching-symmetric graphs and their classification by group.
 
 The catalog lists the known families whose full automorphism group induces
 the symmetric group (permutable mode) or a 2-transitive group (two-transitive
-mode) on some perfect matching of 2m vertices.  For m <= 3 the catalog can be
-checked against an exhaustive sweep of all connected graphs on 2m vertices.
+mode) on some perfect matching of 2m vertices.  classify_perfect_matchings
+finds every such connected graph from lifts of minimal 2-transitive groups
+into S_2 wr S_m, for m <= 10 (permutable) or m <= 8 (two-transitive).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -23,7 +23,6 @@ from .graphs import (
     complete_bipartite,
     cycle,
     empty_graph,
-    is_connected,
     join,
     matching_join,
     paley_incidence,
@@ -32,15 +31,16 @@ from .graphs import (
 )
 from .matchings import (
     MODE_PERMUTABLE,
-    _group_or_aut,
+    _on_edge,
     _passes,
     find_matching,
     matching_report,
     normalize_mode,
 )
+from .perms import Perm, PermGroup, is_2transitive, orbits
 
-MAX_ENUMERATION_VERTICES = 6
-CATALOG_MAX_M = 7
+CATALOG_MAX_M = 10
+_TWO_TRANSITIVE_MAX_M = 8  # the largest degree _minimal_groups lists
 
 
 @dataclass(frozen=True)
@@ -98,88 +98,88 @@ def matching_catalog(m: int, mode: str) -> Catalog:
         if m == 5:
             named.append(("petersen", petersen()))
             named.append(("C5vC5", join(cycle(5), cycle(5))))
-    entries = []
-    seen = set()
+    entries: dict[str, CatalogEntry] = {}
     for name, g in named:
         canon = canonical_graph6(g)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        entries.append(CatalogEntry(name, g, canon))
-    return Catalog(m, mode, tuple(entries))
+        entries.setdefault(canon, CatalogEntry(name, g, canon))
+    return Catalog(m, mode, tuple(entries.values()))
 
 
-@functools.lru_cache(maxsize=None)
-def enumerate_connected(n: int) -> tuple[Graph, ...]:
-    """All connected graphs on n vertices up to isomorphism, one canonical
-    representative per class, by sweeping every labeled graph."""
-    if not 1 <= n <= MAX_ENUMERATION_VERTICES:
-        raise ValueError("enumeration supports 1 <= n <= %d" % MAX_ENUMERATION_VERTICES)
-    pairs = list(itertools.combinations(range(n), 2))
-    seen: set[str] = set()
-    reps: list[Graph] = []
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for i in _bits(mask):
-            u, v = pairs[i]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        g = Graph._raw(n, tuple(rows))
-        if not is_connected(g):
-            continue
-        canon = canonical_graph6(g)
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(g)
-    return tuple(reps)
+def _minimal_groups(m: int, mode: str) -> list[tuple[Perm, Perm]]:
+    """Generators (a_1, a_2), a_1 with the fewest cycles, of S_m (permutable
+    mode) or of each minimal 2-transitive group of degree m: every
+    2-transitive group contains a conjugate of one (Dixon & Mortimer 1996,
+    Permutation Groups, 7.7)."""
+    if not 2 <= m <= (CATALOG_MAX_M if mode == MODE_PERMUTABLE else _TWO_TRANSITIVE_MAX_M):
+        raise ValueError("classify supports 2 <= m <= %d in permutable mode and "
+                         "2 <= m <= %d in two-transitive mode"
+                         % (CATALOG_MAX_M, _TWO_TRANSITIVE_MAX_M))
+    if mode == MODE_PERMUTABLE or m <= 3:  # S_m
+        return [(Perm.from_cycles(m, [tuple(range(m))]), Perm.from_cycles(m, [(0, 1)]))]
+    cycles = {  # a projective line over F_p is F_p and infinity = p
+        4: [([(0, 1, 2)], [(1, 2, 3)])],  # A_4
+        5: [([(0, 1, 2, 3, 4)], [(1, 2, 4, 3)]),  # AGL(1,5): x + 1 and 2x
+            ([(0, 1, 2, 3, 4)], [(0, 1, 2)])],  # A_5
+        6: [([(0, 1, 2, 3, 4)], [(0, 5), (1, 4)])],  # PSL(2,5): x + 1 and -1/x
+        7: [([(0, 1, 2, 3, 4, 5, 6)], [(1, 3, 2, 6, 4, 5)]),  # AGL(1,7): x + 1 and 3x
+            # PSL(3,2) on the nonzero x + 1 of F_2^3: Singer cycle, transvection
+            ([(0, 1, 3, 2, 5, 6, 4)], [(0, 2), (4, 6)])],
+        # AGL(1,8) on F_2[t]/(t^3 + t + 1) as 3-bit ints: tx and x + 1
+        8: [([(1, 2, 4, 3, 6, 7, 5)], [(0, 1), (2, 3), (4, 5), (6, 7)]),
+            ([(0, 1, 2, 3, 4, 5, 6)], [(0, 7), (1, 6), (2, 3), (4, 5)])],  # PSL(2,7)
+    }
+    return [(Perm.from_cycles(m, c1), Perm.from_cycles(m, c2)) for c1, c2 in cycles[m]]
 
 
-def perfect_matchings(g: Graph) -> list[Matching]:
-    """All perfect matchings, built by always pairing the smallest unmatched
-    vertex."""
-    if g.n % 2:
-        return []
-    out: list[Matching] = []
-
-    def rec(unmatched: frozenset[int], acc: list[tuple[int, int]]) -> None:
-        if not unmatched:
-            out.append(Matching(acc))
-            return
-        v = min(unmatched)
-        rest = unmatched - {v}
-        for u in g.neighbors(v):
-            if u in rest:
-                rec(rest - {u}, acc + [(v, u)])
-
-    rec(frozenset(range(g.n)), [])
-    return out
+def _lift(a: Perm, v: int) -> Perm:
+    """(a, v) in S_2 wr S_m: 2i + b goes to 2a(i) + (b xor bit i of v)."""
+    return Perm._raw(tuple(2 * a.images[i] + (b ^ (v >> i & 1))
+                           for i in range(a.degree) for b in (0, 1)))
 
 
 def classify_perfect_matchings(m: int, mode: str) -> Catalog:
-    """Sweep all connected graphs on 2m vertices and keep those with a
-    perfect matching on which the full automorphism group acts as required.
+    """Every connected graph on 2m vertices with a perfect matching M on
+    which the full automorphism group acts as required, one entry per class,
+    named after the catalog when it holds the class.
 
-    Observed classes are named after the catalog when they match a known
-    family, otherwise by their canonical form.
-    """
+    With M = {2i, 2i+1}, the stabilizer of M lies in S_2 wr S_m and, up to
+    relabeling, holds lifts (a_1, v_1), (a_2, v_2) of some _minimal_groups
+    pair; so the graph is M plus orbits of H0 = <(a_1, v_1), (a_2, v_2)>, and
+    each such union qualifies.  Conjugating by u in F_2^m adds u + a_1(u) to
+    v_1, so v_1 runs over coset representatives of those vectors."""
     mode = normalize_mode(mode)
-    if not 1 <= m * 2 <= MAX_ENUMERATION_VERTICES:
-        raise ValueError("exhaustive classification supports m <= %d"
-                         % (MAX_ENUMERATION_VERTICES // 2))
-    known = {e.canonical: e.name for e in matching_catalog(m, mode).entries} \
-        if m >= 2 else {}
+    groups = _minimal_groups(m, mode)
+    n = 2 * m
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {e: k for k, e in enumerate(pairs)}
+    matching = Matching((2 * i, 2 * i + 1) for i in range(m))
+    others = [e for e in pairs if e not in matching.edges]
+    base = sum(1 << index[e] for e in matching)
+    seen: set[int] = set()
+    classes: dict[str, Graph] = {}
+    for a1, a2 in groups:
+        if not is_2transitive(PermGroup([a1, a2])):
+            raise AssertionError("a listed group is not 2-transitive")
+        # v_1 modulo the vectors u + a_1(u) is its parity on each cycle of a_1
+        roots = [next(iter(tree)) for tree in orbits([a1], range(m))]
+        for s, v2 in itertools.product(range(1 << len(roots)), range(1 << m)):
+            h1 = _lift(a1, sum(1 << r for k, r in enumerate(roots) if s >> k & 1))
+            unions = [base]
+            for tree in orbits([h1, _lift(a2, v2)], others, _on_edge):
+                orbit = sum(1 << index[e] for e in tree)
+                unions += [u | orbit for u in unions]
+            # A is primitive on M, so a union is connected unless it is M alone
+            for mask in unions[1:]:
+                if mask not in seen:
+                    seen.add(mask)
+                    g = Graph(n, [pairs[k] for k in _bits(mask)])
+                    classes.setdefault(canonical_graph6(g), g)
+    known = {e.canonical: e.name for e in matching_catalog(m, mode).entries}
     entries = []
-    for g in enumerate_connected(2 * m):
-        pms = perfect_matchings(g)
-        if not pms:
-            continue
-        group = _group_or_aut(g, None)  # the automorphism group, known to act on g
-        for pm in pms:
-            report = matching_report(g, pm, group)
-            if _passes(report, mode):
-                canon = canonical_graph6(g)
-                entries.append(CatalogEntry(known.get(canon, canon), g, canon, pm))
-                break
+    for canon, g in sorted(classes.items()):
+        if not _passes(matching_report(g, matching), mode):
+            raise AssertionError("class %s fails its own matching" % canon)
+        entries.append(CatalogEntry(known.get(canon, canon), g, canon, matching))
     return Catalog(m, mode, tuple(entries))
 
 

@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="auto")
     p.set_defaults(func=_cmd_arc_transitivity)
 
-    p = sub.add_parser("classify", help="exhaustive sweep against the catalog")
+    p = sub.add_parser("classify", help="classify perfect matchings by group against the "
+                       "catalog (m <= 10 permutable, m <= 8 two-transitive)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", default="permutable")
     p.set_defaults(func=_cmd_classify)

@@ -33,7 +33,6 @@ from permatch import (
     degree_bound_check,
     derived_cover,
     empty_graph,
-    enumerate_connected,
     find_matching,
     hypercube,
     is_arc_transitive,
@@ -50,7 +49,6 @@ from permatch import (
     odd_graph_action,
     odd_graph_vertex,
     path_graph,
-    perfect_matchings,
     petersen,
     quotient_by_partition,
     spanning_tree,
@@ -59,6 +57,7 @@ from permatch import (
     verify_catalog_membership,
     verify_cycle_system,
 )
+from labeled_scan import enumerate_connected
 
 
 def canonical_set(graphs):

@@ -342,8 +342,24 @@ def test_classify_command(capsys):
                                    "--mode", "two_transitive"])
     assert code == 0 and report["result"]["mode"] == "two-transitive"
 
-    code, _, err = run(capsys, ["classify", "--m", "9"])
-    assert code == 2 and "error:" in err
+    code, report, _ = run(capsys, ["classify", "--m", "10"])
+    assert code == 0 and len(report["result"]["observed"]) == 5
+
+    # the m = 6 class outside the catalog (see test_classify)
+    code, report, _ = run(capsys, ["classify", "--m", "6", "--mode", "two-transitive"])
+    assert code == 1 and report["result"]["match"] is False
+
+
+def test_classify_rejects_m_out_of_range(capsys):
+    for argv in (["--m", "0"], ["--m", "1"], ["--m", "11"],
+                 ["--m", "9", "--mode", "two-transitive"]):
+        started = time.monotonic()
+        code, report, err = run(capsys, ["classify"] + argv)
+        assert code == 2 and report is None
+        assert "2 <= m <= 10" in err and "2 <= m <= 8" in err
+        assert time.monotonic() - started < 0.5
+    code, report, err = run(capsys, ["classify", "--m", "2", "--mode", "cyclic"])
+    assert code == 2 and report is None and "unknown mode" in err
 
 
 def test_module_entry_point(tmp_path):
