@@ -28,7 +28,6 @@ from .classify import (
 from .graphs import (
     Graph,
     Matching,
-    SrgParams,
     complement,
     complete,
     complete_bipartite,
@@ -41,7 +40,6 @@ from .graphs import (
     graph6_decode,
     graph6_encode,
     hypercube,
-    induced_subgraph,
     is_connected,
     join,
     matching_join,
@@ -52,7 +50,6 @@ from .graphs import (
     paley_incidence_cliques,
     path_graph,
     petersen,
-    srg_parameters,
     subdivide_all,
     subdivide_matching_twice,
     subdivide_non_matching,
@@ -77,11 +74,9 @@ from .perms import (
     BlockSystem,
     Perm,
     PermGroup,
-    find_elements,
     induced_action,
     is_2transitive,
     is_primitive,
-    is_symmetric_action,
     is_transitive,
     minimal_block,
     orbits,

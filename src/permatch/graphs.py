@@ -14,7 +14,6 @@ rather than n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perms import Perm
@@ -452,16 +451,6 @@ def complement(g: Graph) -> Graph:
     return Graph._raw(g.n, rows)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """The induced subgraph, relabeled 0..k-1 in ascending vertex order."""
-    keep = sorted(set(vertices))
-    if any(not (0 <= v < g.n) for v in keep):
-        raise ValueError("vertex out of range")
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = [(pos[u], pos[v]) for u, v in itertools.combinations(keep, 2) if g.has_edge(u, v)]
-    return Graph(len(keep), edges)
-
-
 def distance(g: Graph, u: int, v: int) -> int:
     """BFS distance; -1 if v is unreachable from u."""
     if u == v:
@@ -496,46 +485,6 @@ def is_connected(g: Graph) -> bool:
 
 def degree_sequence(g: Graph) -> list[int]:
     return sorted((g.degree(v) for v in range(g.n)), reverse=True)
-
-
-@dataclass(frozen=True)
-class SrgParams:
-    """Strongly regular parameters (v, k, lam, mu).
-
-    For graphs with no non-adjacent pairs (complete graphs) mu is reported
-    as 0 and is_complete is set; lam is 0 when there is no adjacent pair.
-    """
-
-    v: int
-    k: int
-    lam: int
-    mu: int
-    is_complete: bool
-
-
-def srg_parameters(g: Graph) -> SrgParams | None:
-    """The (v, k, lam, mu) parameters if g is strongly regular, else None."""
-    degs = {g.degree(v) for v in range(g.n)}
-    if len(degs) != 1:
-        return None
-    k = degs.pop()
-    lam = None
-    mu = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            common = (g.rows[u] & g.rows[v]).bit_count()
-            if g.has_edge(u, v):
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    return SrgParams(g.n, k, lam if lam is not None else 0,
-                     mu if mu is not None else 0, mu is None)
 
 
 # ---------------------------------------------------------------------------

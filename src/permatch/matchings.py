@@ -279,23 +279,22 @@ def is_arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     return len(orbits(group.generators, [edges[0]], _on_tuple)[0]) == 2 * len(edges)
 
 
-def _first_2arc(g: Graph) -> tuple[int, int, int] | None:
-    for a in range(g.n):
-        for b in g.neighbors(a):
-            for c in g.neighbors(b):
-                if c != a:
-                    return (a, b, c)
-    return None
+def _2arc_tree(g: Graph, group: PermGroup) -> dict | None:
+    """The Schreier tree (see perms.orbits) of the group's orbit on 2-arcs
+    through the least 2-arc (a, b, c), a != c, or None unless that orbit
+    holds every 2-arc; {} when g has no 2-arc."""
+    start = next(((a, b, c) for a in range(g.n) for b in g.neighbors(a)
+                  for c in g.neighbors(b) if c != a), None)
+    if start is None:
+        return {}
+    (tree,) = orbits(group.generators, [start], _on_tuple)
+    total = sum(g.degree(v) * (g.degree(v) - 1) for v in range(g.n))
+    return tree if len(tree) == total else None
 
 
 def is_2arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     """One orbit on ordered paths (a, b, c) with a != c."""
-    group = _group_or_aut(g, group)
-    start = _first_2arc(g)
-    if start is None:
-        return True
-    total = sum(g.degree(v) * (g.degree(v) - 1) for v in range(g.n))
-    return len(orbits(group.generators, [start], _on_tuple)[0]) == total
+    return _2arc_tree(g, _group_or_aut(g, group)) is not None
 
 
 def _local_image(g: Graph, group: PermGroup, v: int) -> PermGroup:

@@ -2,11 +2,11 @@
 
 Permutations act on the right: x^(g*h) == (x^g)^h.  Groups carry a
 deterministic base and strong generating set, which makes orders,
-membership tests, stabilizers and backtrack searches exact and
-reproducible.  A chain comes from Schreier-Sims on generators (PermGroup),
-from random Schreier-Sims to a known order (rebase), or is read off a
-backtrack search (subgroup_search and autiso.automorphism_group).  Every
-transversal is grown by the one orbit walk, orbits.  Orders are Python ints.
+membership tests and stabilizers exact and reproducible.  A chain comes
+from Schreier-Sims on generators (PermGroup), from random Schreier-Sims to
+a known order (rebase), or is read off a search: subgroup_search, the one
+backtrack over a chain, or autiso.automorphism_group.  Every transversal is
+grown by the one orbit walk, orbits.  Orders are Python ints.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import operator
 import random
 import re
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class Perm:
@@ -457,41 +457,10 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
             g = extend(i + 1, levels[i].transversal[d], imgs)
             if g is not None:
                 found.append(g)
+    # extend refers to itself through its closure; emptying that cell frees
+    # the group's chain now rather than at the next cyclic collection
+    del extend
     return PermGroup._from_strong_generators(base_pts, found, group.degree)
-
-
-def find_elements(group: PermGroup, mappings: Sequence[tuple[int, int]],
-                  test: Callable[[Perm], bool] | None = None) -> Iterator[Perm]:
-    """Yield every element sending point p to q for each (p, q), optionally
-    filtered by an extra leaf test, in lexicographic order of images: the
-    base is the mapped points, then all others in increasing order."""
-    pts = [p for p, _ in mappings]
-    target = {p: q for p, q in mappings}
-    if len(target) != len(pts):
-        raise ValueError("duplicate points in mappings")
-    rebased = group.rebase(pts + [x for x in range(group.degree) if x not in target])
-    levels = rebased._levels
-    k = len(levels)
-
-    def rec(i: int, w: Perm, winv: Perm) -> Iterator[Perm]:
-        if i == k:
-            if test is None or test(w):
-                yield w
-            return
-        lvl = levels[i]
-        if i < len(pts):
-            d = winv.images[target[lvl.point]]
-            u = lvl.transversal.get(d)
-            if u is None:
-                return
-            yield from rec(i + 1, u * w, winv * lvl.inverse[d])
-        else:
-            # base[i] goes to w(d), so this visits its images in order
-            for d in sorted(lvl.transversal, key=w.images.__getitem__):
-                yield from rec(i + 1, lvl.transversal[d] * w, winv * lvl.inverse[d])
-
-    ident = Perm.identity(group.degree)
-    return rec(0, ident, ident)
 
 
 def is_transitive(group: PermGroup) -> bool:
@@ -583,9 +552,3 @@ def induced_action(group: PermGroup, cells: Sequence[Iterable[int]]) -> tuple[Pe
     image = PermGroup(list(img_gens), degree=len(cell_sets))
     kernel_order = group.order() // image.order()
     return image, kernel_order
-
-
-def is_symmetric_action(group: PermGroup, cells: Sequence[Iterable[int]]) -> bool:
-    """Does the induced action on the cells realize the full symmetric group?"""
-    image, _ = induced_action(group, cells)
-    return image.order() == math.factorial(len(cells))

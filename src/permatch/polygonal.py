@@ -1,10 +1,14 @@
 """Cycle systems covering 2-paths, and quotients by vertex partitions.
 
 A graph is near-polygonal when some orbit of c-cycles covers every 2-path
-exactly once.  For a 2-arc-transitive graph there is a one-cycle-orbit
-criterion: fix a 2-arc (a, b, c) with pointwise stabilizer H; if H fixes a
-neighbor of c other than b, then some element normalizing H maps (a, b) to
-(b, c), and the cycle it traces through a generates a candidate system.
+exactly once.  For a 2-arc-transitive graph each candidate orbit comes from
+one group element: fix the least 2-arc (a, b, c) with pointwise stabilizer
+H.  For each neighbor d != b of c that H fixes, the elements sending
+(a, b, c) to (b, c, d) form one coset H*t_d, and since 2-arc stabilizers
+are conjugate they all normalize H.  H then fixes every point of the cycle
+of t_d through a, so the whole coset traces that one cycle, whose orbit is
+the candidate system.  Conversely an element sending (a, b) to (b, c) that
+normalizes H sends c to a neighbor H fixes, so no candidate is missed.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, is_connected
-from .matchings import _first_2arc, _group_or_aut, check_group_action, is_2arc_transitive
-from .perms import BlockSystem, Perm, PermGroup, find_elements, orbits
+from .matchings import _2arc_tree, _group_or_aut, check_group_action
+from .perms import BlockSystem, PermGroup, orbits
 
 
 @dataclass(frozen=True)
@@ -70,43 +74,35 @@ def _on_cycle(im: tuple[int, ...], cyc: tuple[int, ...]) -> tuple[int, ...]:
 def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> CycleSystem | None:
     """Search for a single group orbit of cycles covering each 2-path once.
 
-    Requires a connected, 2-arc-transitive pair (g, group); returns the first
-    verified system found, or None when the fixed-neighbor criterion fails or
-    no normalizing element yields a valid system.
+    Requires a connected, 2-arc-transitive pair (g, group).  With (a, b, c)
+    the least 2-arc and H its pointwise stabilizer, each neighbor d != b of
+    c that H fixes, in increasing order, gives one candidate: the cycle
+    through a of an element t_d sending (a, b, c) to (b, c, d), read off
+    the Schreier tree of the 2-arc orbit (see the module docstring for why
+    one element per d suffices).  Returns the first candidate whose orbit
+    is a verified system, or None when no candidate is.
     """
     group = _group_or_aut(g, group)
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    if not is_2arc_transitive(g, group):
+    tree = _2arc_tree(g, group)
+    if tree is None:
         raise ValueError("group is not 2-arc-transitive on the graph")
-    first = _first_2arc(g)
-    if first is None:
+    if not tree:
         raise ValueError("graph has no 2-path")
-    a, b, c = first
-    stab = group.pointwise_stabilizer((a, b, c))
-    others = [x for x in g.neighbors(c) if x != b]
-    fixed = [x for x in others
-             if all(p.images[x] == x for p in stab.generators)]
-    if not fixed:
-        return None
-
-    sgens = stab.generators
-
-    def normalizes(p: Perm) -> bool:
-        q = p.inverse()
-        return all((q * h * p) in stab for h in sgens)
-
-    test = None
-    if any(not h.is_identity() for h in sgens):
-        test = normalizes
-    for cand in find_elements(group, [(a, b), (b, c)], test=test):
-        cyc = [a]
-        x = cand.images[a]
-        while x != a:
-            cyc.append(x)
-            x = cand.images[x]
-        if len(cyc) < 3 or len(cyc) > g.n:
+    a, b, c = next(iter(tree))
+    stab = group.pointwise_stabilizer((a, b, c)).generators
+    ims = [p.images for p in group.generators]
+    for d in g.neighbors(c):
+        if d == b or any(h.images[d] != d for h in stab):
             continue
+        t, arc = tuple(range(g.n)), (b, c, d)
+        while tree[arc] is not None:  # t: the tree's word carrying (a, b, c) to (b, c, d)
+            arc, k = tree[arc]
+            t = tuple(map(t.__getitem__, ims[k]))
+        cyc = [a]
+        while t[cyc[-1]] != a:
+            cyc.append(t[cyc[-1]])
         (orbit,) = orbits(group.generators, [_canonical_cycle(tuple(cyc))], _on_cycle)
         system = CycleSystem(len(cyc), tuple(sorted(orbit)))
         if verify_cycle_system(g, system):

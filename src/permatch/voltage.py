@@ -341,8 +341,13 @@ def lift_automorphism(cover: CoverGraph, a: Perm) -> Perm:
 
 
 def covering_transformations(cover: CoverGraph) -> PermGroup:
-    """The group of fiber translations (v, h) -> (v, h + t)."""
-    return PermGroup(_translations(cover), degree=cover.graph.n)
+    """The group of fiber translations (v, h) -> (v, h + t).
+
+    The translations act regularly on each fiber, so the stabilizer of
+    vertex 0 is trivial: its chain is one level, the fiber of vertex 0 on
+    base (0,), and no Schreier-Sims runs.
+    """
+    return PermGroup._from_strong_generators((0,), _translations(cover), cover.graph.n)
 
 
 def _translations(cover: CoverGraph) -> list[Perm]:

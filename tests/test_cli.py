@@ -5,6 +5,7 @@ test checks the module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -21,6 +22,7 @@ from permatch import (
     complete,
     petersen,
 )
+import permatch.cli
 from permatch.cli import main
 
 
@@ -363,9 +365,12 @@ def test_classify_rejects_m_out_of_range(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # run from the directory holding the package under test, so that the
+    # child imports it whether or not PYTHONPATH names it
     proc = subprocess.run(
         [sys.executable, "-m", "permatch.cli", "gen", "petersen"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60,
+        cwd=os.path.dirname(os.path.dirname(permatch.cli.__file__)))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["vertices"] == 10

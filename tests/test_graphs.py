@@ -33,7 +33,6 @@ from permatch import (
     graph6_decode,
     graph6_encode,
     hypercube,
-    induced_subgraph,
     is_connected,
     join,
     matching_join,
@@ -45,7 +44,6 @@ from permatch import (
     path_graph,
     petersen,
     spanning_tree,
-    srg_parameters,
     standard_assignment,
     subdivide_all,
     subdivide_matching_twice,
@@ -187,8 +185,6 @@ def test_subdivisions():
 def test_complement_and_induced():
     assert complement(complete(4)).edges() == []
     assert complement(complement(petersen())).rows == petersen().rows
-    sub = induced_subgraph(cycle(6), [0, 1, 2, 3])
-    assert are_isomorphic(sub, path_graph(4)) is not None
 
 
 def test_distance_and_connectivity():
@@ -293,19 +289,6 @@ def test_paley_graphs():
     for bad in (5, 4, 9, 15):
         with pytest.raises(ValueError):
             paley_incidence(bad)
-
-
-def test_srg_parameters():
-    s = srg_parameters(petersen())
-    assert (s.v, s.k, s.lam, s.mu) == (10, 3, 0, 1) and not s.is_complete
-    s = srg_parameters(complete(4))
-    assert (s.v, s.k, s.lam) == (4, 3, 2) and s.is_complete
-    s = srg_parameters(complete_bipartite(3, 3))
-    assert (s.v, s.k, s.lam, s.mu) == (6, 3, 0, 3)
-    assert srg_parameters(path_graph(4)) is None
-    assert srg_parameters(cycle(6)) is None
-    s = srg_parameters(cycle(5))
-    assert (s.v, s.k, s.lam, s.mu) == (5, 2, 0, 1)
 
 
 def test_matching_type():

@@ -19,11 +19,9 @@ from permatch import (
     Perm,
     PermGroup,
     complete,
-    find_elements,
     induced_action,
     is_2transitive,
     is_primitive,
-    is_symmetric_action,
     is_transitive,
     matching_stabilizer,
     minimal_block,
@@ -215,18 +213,6 @@ def test_subgroup_search_parity():
         assert a5.contains(Perm(images)) == is_even(Perm(images))
 
 
-def test_find_elements_vs_brute():
-    rng = random.Random(31)
-    for _ in range(10):
-        degree = rng.randrange(4, 8)
-        gens = random_group(rng, degree, 2)
-        elements = brute_closure(gens)
-        group = PermGroup(gens)
-        a, b = rng.randrange(degree), rng.randrange(degree)
-        found = {p.images for p in find_elements(group, [(a, b)])}
-        assert found == {t for t in elements if t[a] == b}
-
-
 def test_orbits_partition_domain():
     rng = random.Random(5)
     for _ in range(10):
@@ -344,8 +330,8 @@ def test_is_symmetric_action():
     cells = [[0, 1], [2, 3], [4, 5]]
     kept = subgroup_search(d6, lambda g: all(
         {g.images[a], g.images[b]} in [set(c) for c in cells] for a, b in cells))
-    assert is_symmetric_action(kept, cells)
-    assert not is_symmetric_action(PermGroup.trivial(6), [[0, 1], [2, 3]])
+    assert induced_action(kept, cells)[0].order() == 6
+    assert induced_action(PermGroup.trivial(6), [[0, 1], [2, 3]])[0].order() == 1
 
 
 def test_rebase_preserves_group():

@@ -14,12 +14,14 @@ from permatch import (
     covering_transformations,
     cycle,
     derived_cover,
+    folded_hypercube,
     hypercube,
     matching_join,
     near_polygonal_certificate,
     odd_graph,
     odd_graph_action,
     orbit_partition,
+    paley_incidence,
     petersen,
     quotient_by_partition,
     spanning_tree,
@@ -52,6 +54,79 @@ def petersen_pentagons():
             else:
                 stack.append(path + (nxt,))
     return CycleSystem(5, tuple(sorted(seen)))
+
+
+def petersen_a5():
+    """The order-60 subgroup of Aut(Petersen) acting regularly on 2-arcs."""
+    og, _ = odd_graph(3)
+    iso = are_isomorphic(og, petersen())
+    gens = [iso.inverse() * odd_graph_action(3, Perm.from_cycles(5, [c])) * iso
+            for c in ((0, 1, 2), (2, 3, 4))]
+    return PermGroup(gens, degree=10)
+
+
+def closure(gens, n):
+    """Every element of <gens> as an image tuple, by breadth-first products."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [u for u in {tuple(g.images[x] for x in t)
+                                for t in frontier for g in gens} if u not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def reference_certificate(g, group):
+    """The certificate by brute force over every element of the group.
+
+    With (a, b, c) the least 2-arc and H its pointwise stabilizer, every
+    element t sending (a, b) to (b, c) with t^-1 H t == H is a candidate.
+    Candidates with one image d of c must trace one cycle system; the answer
+    is the valid system of the least such d, or None when none is valid.
+    """
+    n = g.n
+    elements = closure(group.generators, n)
+    a, b, c = min((a, b, c) for a in range(n) for b in g.neighbors(a)
+                  for c in g.neighbors(b) if c != a)
+    h = {t for t in elements if (t[a], t[b], t[c]) == (a, b, c)}
+    systems = {}
+    for t in elements:
+        if (t[a], t[b]) != (b, c):
+            continue
+        inv = [0] * n
+        for x, y in enumerate(t):
+            inv[y] = x
+        if {tuple(t[u[inv[x]]] for x in range(n)) for u in h} != h:
+            continue
+        cyc = [a]
+        while t[cyc[-1]] != a:
+            cyc.append(t[cyc[-1]])
+        orbit = {canon_cycle(tuple(s[x] for x in cyc)) for s in elements}
+        systems.setdefault(t[c], set()).add(CycleSystem(len(cyc), tuple(sorted(orbit))))
+    assert all(len(found) == 1 for found in systems.values())
+    valid = [found for _, (found,) in sorted(systems.items())
+             if verify_cycle_system(g, found)]
+    return valid[0] if valid else None
+
+
+@pytest.mark.parametrize("g,group", [
+    pytest.param(complete(4), None, id="K4"),
+    pytest.param(complete(5), None, id="K5"),
+    pytest.param(complete(6), None, id="K6"),
+    pytest.param(cycle(5), None, id="C5"),
+    pytest.param(cycle(6), None, id="C6"),
+    pytest.param(cycle(7), None, id="C7"),
+    pytest.param(cycle(8), None, id="C8"),
+    pytest.param(complete_bipartite(3, 3), None, id="K33"),
+    pytest.param(hypercube(3), None, id="Q3"),
+    pytest.param(folded_hypercube(5), None, id="FQ5"),
+    pytest.param(paley_incidence(7), None, id="PI7"),
+    pytest.param(petersen(), None, id="Petersen"),
+    pytest.param(petersen(), petersen_a5(), id="Petersen-A5"),
+])
+def test_certificate_matches_brute_force_reference(g, group):
+    expected = reference_certificate(g, group or automorphism_group(g))
+    assert near_polygonal_certificate(g, group) == expected
 
 
 def test_verify_cycle_system():
@@ -100,11 +175,7 @@ def test_petersen_certificates():
 
     # under an order-60 subgroup acting regularly on 2-arcs, one orbit of
     # six pentagons covers every 2-path exactly once
-    og, _ = odd_graph(3)
-    iso = are_isomorphic(og, petersen())
-    gens = [iso.inverse() * odd_graph_action(3, Perm.from_cycles(5, [c])) * iso
-            for c in ((0, 1, 2), (2, 3, 4))]
-    sub = PermGroup(gens, degree=10)
+    sub = petersen_a5()
     assert sub.order() == 60
     cert = near_polygonal_certificate(petersen(), sub)
     assert cert is not None

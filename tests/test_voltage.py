@@ -227,16 +227,24 @@ def test_cover_cap():
 
 def test_covering_transformations_are_free():
     g = complete(4)
-    cov = derived_cover(standard_assignment(g, 2, spanning_tree(g)))
-    ct = covering_transformations(cov)
-    assert ct.order() == 8
-    for p in group_elements(ct):
-        if p.is_identity():
-            continue
-        assert all(p.apply(i) != i for i in range(cov.graph.n))
-        assert cov.graph.is_automorphism(p)
-        # translations stay inside fibers
-        assert all(p.apply(i) % 4 == i % 4 for i in range(cov.graph.n))
+    aut = automorphism_group(g)
+    for p in (2, 3):
+        cov = derived_cover(standard_assignment(g, p, spanning_tree(g)))
+        ct = covering_transformations(cov)
+        assert ct.order() == p ** 3
+        # membership against the brute closure of the translations, both ways
+        closure = group_elements(ct)
+        assert len(closure) == ct.order() and all(t in ct for t in closure)
+        for a in aut.generators:
+            lift = lift_automorphism(cov, a)
+            assert not any(lift * t in ct for t in closure)
+        for t in closure:
+            if t.is_identity():
+                continue
+            assert all(t.apply(i) != i for i in range(cov.graph.n))
+            assert cov.graph.is_automorphism(t)
+            # translations stay inside fibers
+            assert all(t.apply(i) % 4 == i % 4 for i in range(cov.graph.n))
 
 
 def test_lift_commutes_with_projection():
