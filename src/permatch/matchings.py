@@ -187,18 +187,20 @@ def _edge_orbits(group: PermGroup, edges: list[Edge]) -> list[dict[Edge, tuple[E
     return trees
 
 
-def _in_pair_orbit(inv: dict[Edge, tuple[int, ...]], e1_orbit: dict,
+def _in_pair_orbit(orbit: dict, invs: list[tuple[int, ...]], e1_orbit: dict,
                    a: Edge, b: Edge) -> bool:
     """Is (a, b) in the group orbit of the ordered edge pair (e0, e1)?
 
-    inv[a] holds the inverse images of a group element t_a sending e0 to a,
-    and e1_orbit is the orbit of e1 under the setwise stabilizer of e0.
-    Every element sending e0 to a is h * t_a with h fixing e0, so the test
-    is whether b^(t_a^-1) lies in e1_orbit.
+    orbit is the Schreier tree of the edge orbit of e0, spelling t_a sending
+    e0 to a; invs are the generators' inverse images; e1_orbit is the orbit
+    of e1 under the setwise stabilizer of e0.  Every element sending e0 to a
+    is h * t_a with h fixing e0, so the test is whether b^(t_a^-1), found by
+    walking the tree from a back to e0, lies in e1_orbit.
     """
-    ia = inv[a]
-    x, y = ia[b[0]], ia[b[1]]
-    return ((x, y) if x < y else (y, x)) in e1_orbit
+    while orbit[a] is not None:
+        a, k = orbit[a]
+        b = _on_edge(invs[k], b)
+    return b in e1_orbit
 
 
 def find_matching(g: Graph, group: PermGroup | None, m: int,
@@ -214,8 +216,8 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
     edges, every ordered pair of its edges lies in the group orbit of
     (e0, e1), which must contain (e1, e0); candidates are pruned
     accordingly.  That orbit is never listed: membership is tested exactly
-    through a transversal of the group on the edge orbit of e0 and the orbit
-    of e1 under the setwise stabilizer of e0 (see _in_pair_orbit).
+    through the Schreier tree of the edge orbit of e0 and the orbit of e1
+    under the setwise stabilizer of e0 (see _in_pair_orbit).
     """
     mode = normalize_mode(mode)
     if m < 1:
@@ -224,9 +226,9 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
     if 2 * m > g.n:
         return None
     visited: set[frozenset[Edge]] = set()
-    gens_inv = [p.inverse().images for p in group.generators]
+    invs = [p.inverse().images for p in group.generators]
 
-    def extend(partial: list[Edge], orbit: dict, inv: dict,
+    def extend(partial: list[Edge], orbit: dict,
                e1_orbit: dict | None) -> Matching | None:
         if len(partial) == m:
             cand = Matching(partial)
@@ -239,31 +241,27 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
         used = {x for e in partial for x in e}
         candidates = [e for e in orbit if e[0] not in used and e[1] not in used
                       and (e1_orbit is None or all(
-                          _in_pair_orbit(inv, e1_orbit, f, e) for f in partial))]
+                          _in_pair_orbit(orbit, invs, e1_orbit, f, e) for f in partial))]
         if len(candidates) < m - len(partial):
             return None
         for sub in _edge_orbits(stab, candidates):
             e = next(iter(sub))
-            if len(partial) == 1 and not _in_pair_orbit(inv, sub, e, partial[0]):
+            if len(partial) == 1 and not _in_pair_orbit(orbit, invs, sub, e, partial[0]):
                 continue  # no group element can ever swap these two edges
-            result = extend(partial + [e], orbit, inv,
-                            sub if len(partial) == 1 else e1_orbit)
+            result = extend(partial + [e], orbit, sub if len(partial) == 1 else e1_orbit)
             if result is not None:
                 return result
         return None
 
+    result = None
     for orbit in _edge_orbits(group, g.edges()):
-        inv: dict[Edge, tuple[int, ...]] = {}
-        for a, link in orbit.items():  # parents come before their children
-            if link is None:
-                inv[a] = tuple(range(g.n))
-            else:
-                parent, k = link
-                inv[a] = tuple(map(inv[parent].__getitem__, gens_inv[k]))
-        result = extend([next(iter(orbit))], orbit, inv, None)
+        result = extend([next(iter(orbit))], orbit, None)
         if result is not None:
-            return result
-    return None
+            break
+    # extend refers to itself through its closure; emptying that cell frees
+    # the search's state now rather than at the next cyclic collection
+    del extend
+    return result
 
 
 # ---------------------------------------------------------------------------

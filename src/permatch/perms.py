@@ -2,18 +2,18 @@
 
 Permutations act on the right: x^(g*h) == (x^g)^h.  Groups carry a
 deterministic base and strong generating set, which makes orders,
-membership tests and stabilizers exact and reproducible.  A chain comes
-from Schreier-Sims on generators (PermGroup), from random Schreier-Sims to
-a known order (rebase), or is read off a search: subgroup_search, the one
-backtrack over a chain, or autiso.automorphism_group.  Every transversal is
-grown by the one orbit walk, orbits.  Orders are Python ints.
+membership tests and stabilizers exact and reproducible.  A chain stores
+Schreier trees, not coset representatives (Sims 1971; Seress 2003, section
+4.1).  It comes from the one Schreier-Sims (PermGroup; rebase and
+voltage.lift_group stop it at a known order), or is read off a search:
+subgroup_search, the one backtrack over a chain, or automorphism_group.
+Every tree is grown by the one orbit walk, orbits.  Orders are Python ints.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 import re
 from typing import Callable, Iterable, Sequence
 
@@ -206,85 +206,124 @@ def orbits(gens: Sequence[Perm], seeds: Iterable, act: Callable = operator.getit
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point, the generators fixing
-    all earlier base points, and the transversal of the basic orbit."""
+    """One level of a stabilizer chain: a base point, the strong generators
+    filed here or deeper (they fix the earlier base points) with their
+    inverse images, and the Schreier tree (see orbits) of the basic orbit
+    under them."""
 
-    __slots__ = ("point", "gens", "transversal", "inverse", "_done")
+    __slots__ = ("point", "gens", "invs", "tree", "_done")
 
-    def __init__(self, point: int, n: int):
-        ident = Perm.identity(n)
+    def __init__(self, point: int):
         self.point = point
         self.gens: list[Perm] = []
-        self.transversal: dict[int, Perm] = {point: ident}
-        self.inverse: dict[int, Perm] = {point: ident}
+        self.invs: list[tuple[int, ...]] = []
+        self.tree: dict[int, tuple[int, int] | None] = {point: None}
         self._done: set[tuple[int, int]] = set()
 
 
+def _spell(tree: dict, ims: Sequence[tuple[int, ...]], y, t: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of u * t, with u the element a Schreier tree spells from
+    its root to y: the product of the generators (images ims) on its links."""
+    while tree[y] is not None:
+        y, k = tree[y]
+        t = tuple(map(t.__getitem__, ims[k]))
+    return t
+
+
 def _sift(levels: list[_Level], p: Perm, start: int = 0) -> tuple[Perm, int]:
-    """Strip p through the chain; return (residue, level where it stuck)."""
+    """Strip p through the chain, walking each tree back from the image of
+    its root; return (residue, level where it stuck)."""
+    im = p.images
     for i in range(start, len(levels)):
         lvl = levels[i]
-        d = p.images[lvl.point]
-        inv = lvl.inverse.get(d)
-        if inv is None:
-            return p, i
-        p = p * inv
-    return p, len(levels)
+        tree, invs = lvl.tree, lvl.invs
+        d = im[lvl.point]
+        if d not in tree:
+            return Perm._raw(im), i
+        while tree[d] is not None:
+            d, k = tree[d]
+            im = tuple(map(invs[k].__getitem__, im))
+    return Perm._raw(im), len(levels)
 
 
-def _append_gen(levels: list[_Level], p: Perm, j: int) -> int:
-    """Store a sifted residue as a generator at level j (creating the level
-    and its base point if the chain ends there)."""
+def _append_gen(levels: list[_Level], p: Perm, j: int) -> None:
+    """Store a sifted residue as a generator at level j and every earlier
+    one (creating level j and its base point if the chain ends there)."""
     if j == len(levels):
-        levels.append(_Level(min(p.moved_points()), len(p.images)))
-    levels[j].gens.append(p)
-    return j
+        levels.append(_Level(min(p.moved_points())))
+    inv = p.inverse().images
+    for lvl in levels[:j + 1]:
+        lvl.gens.append(p)
+        lvl.invs.append(inv)
 
 
-def _grow(levels: list[_Level], i: int) -> None:
-    """Grow level i's transversal to the orbit of its base point under the
-    generators of every level >= i: each point y that the orbits walk reaches
-    from x by g gets the entry u_x * g; entries are never overwritten."""
-    lvl = levels[i]
-    gens = [g for l in levels[i:] for g in l.gens]
-    (tree,) = orbits(gens, [lvl.point])
-    for y, link in tree.items():
-        if y not in lvl.transversal:
-            x, k = link
-            u = lvl.transversal[x] * gens[k]
-            lvl.transversal[y] = u
-            lvl.inverse[y] = u.inverse()
+def _grow(lvl: _Level) -> None:
+    """Extend the level's tree to the orbit under its generators.  Old links
+    stay and gens only grows at its end, so no coset representative changes,
+    as the record of sifted Schreier generators (_done) needs."""
+    (fresh,) = orbits(lvl.gens, [lvl.point])
+    for y, link in fresh.items():  # a new point links to one found before it
+        lvl.tree.setdefault(y, link)
 
 
-def _extend_level(levels: list[_Level], i: int) -> int | None:
-    """Grow the orbit at level i, then sift each Schreier generator
-    u_d * g * u_{d^g}^-1 not sifted before; return the level where a residue
-    got added, or None once level i is complete."""
-    _grow(levels, i)
-    lvl = levels[i]
-    gens = [g for l in levels[i:] for g in l.gens]
-    for d, u in lvl.transversal.items():
-        for g in gens:
-            pair = (d, id(g))  # the level's generators outlive its pairs
-            if pair in lvl._done:
-                continue
-            lvl._done.add(pair)
-            ug = u * g
-            e = g.images[d]
-            if ug == lvl.transversal[e]:
-                continue
-            residue, j = _sift(levels, ug * lvl.inverse[e], i + 1)
-            if not residue.is_identity():
-                return _append_gen(levels, residue, j)
-    return None
+def _schreier_residue(levels: list[_Level], j: int) -> tuple[Perm | None, int]:
+    """Sift the Schreier generators u_d * g * u_{d^g}^-1 of levels j, j-1,
+    ..., 0 not sifted before; return the first residue that is not the
+    identity with the level where it stuck, or (None, -1)."""
+    for i in range(j, -1, -1):
+        lvl = levels[i]
+        tree = lvl.tree
+        ims = [g.images for g in lvl.gens]
+        for d in tree:
+            u = None
+            for k, im in enumerate(ims):
+                if (d, k) in lvl._done or tree[im[d]] == (d, k):
+                    continue  # sifted before, or u_d * g is u_{d^g}
+                lvl._done.add((d, k))
+                if u is None:
+                    u = _spell(tree, ims, d, tuple(range(len(im))))
+                residue, stuck = _sift(levels, Perm._raw(tuple(map(im.__getitem__, u))), i)
+                if not residue.is_identity():
+                    return residue, stuck
+    return None, -1
+
+
+def _schreier_sims(levels: list[_Level], gens: Iterable[Perm],
+                   order: int | None = None) -> list[_Level]:
+    """Sift gens into the chain, then re-establish the chain condition from
+    the deepest level upward (Seress 2003, section 4.2); return the levels.
+    Given an order at least |<gens>|, stop once the product of the tree
+    sizes reaches it: each tree is an orbit of a subgroup of <gens> fixing
+    the earlier base points, so reaching |<gens>| proves the chain complete.
+    """
+    for g in gens:
+        residue, j = _sift(levels, g)
+        if not residue.is_identity() and _file(levels, residue, j, order):
+            return levels
+    # a residue stuck at level j leaves every level deeper than j complete
+    residue, j = _schreier_residue(levels, len(levels) - 1)
+    while residue is not None:
+        if _file(levels, residue, j, order):
+            return levels
+        residue, j = _schreier_residue(levels, j)
+    return levels
+
+
+def _file(levels: list[_Level], p: Perm, j: int, order: int | None) -> bool:
+    """File residue p at level j and grow the trees it joins; tell whether
+    the product of the tree sizes is order."""
+    _append_gen(levels, p, j)
+    for lvl in levels[:j + 1]:
+        _grow(lvl)
+    return math.prod(len(lvl.tree) for lvl in levels) == order
 
 
 class PermGroup:
     """A permutation group with a deterministic base and strong generating set.
 
     The constructor runs Schreier-Sims on the generators, and each new level
-    picks the smallest moved point as base point; rebase, subgroup_search and
-    automorphism_group build chains otherwise (see the module docstring).
+    picks the smallest moved point as base point; rebase pins a base first,
+    and subgroup_search and automorphism_group read chains off searches.
     """
 
     def __init__(self, generators: Iterable[Perm], degree: int | None = None):
@@ -297,17 +336,7 @@ class PermGroup:
             raise ValueError("generators have mismatched degrees")
         self.degree = degree
         self.generators = gens
-        self._levels: list[_Level] = []
-        for g in gens:
-            residue, i = _sift(self._levels, g)
-            if residue.is_identity():
-                continue
-            # re-establish the chain condition from the deepest level upward;
-            # a new residue drops the work pointer back down to its level
-            i = _append_gen(self._levels, residue, i)
-            while i >= 0:
-                j = _extend_level(self._levels, i)
-                i = i - 1 if j is None else j
+        self._levels = _schreier_sims([], gens)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -326,11 +355,11 @@ class PermGroup:
                                 degree: int) -> "PermGroup":
         # internal: gens, each moving some base point, must be a strong
         # generating set relative to base; each is filed at the first it moves
-        levels = [_Level(b, degree) for b in base]
+        levels = [_Level(b) for b in base]
         for g in gens:
-            levels[next(i for i, b in enumerate(base) if g.images[b] != b)].gens.append(g)
-        for i in range(len(levels)):
-            _grow(levels, i)
+            _append_gen(levels, g, next(i for i, b in enumerate(base) if g.images[b] != b))
+        for lvl in levels:
+            _grow(lvl)
         return cls._from_chain(gens, degree, levels)
 
     @property
@@ -339,21 +368,13 @@ class PermGroup:
 
     @property
     def strong_generators(self) -> tuple[Perm, ...]:
-        out: list[Perm] = []
-        for lvl in self._levels:
-            for g in lvl.gens:
-                if g not in out:
-                    out.append(g)
-        return tuple(out)
+        return tuple(dict.fromkeys(self._levels[0].gens)) if self._levels else ()
 
     def basic_orbits(self) -> list[tuple[int, ...]]:
-        return [tuple(sorted(lvl.transversal)) for lvl in self._levels]
+        return [tuple(sorted(lvl.tree)) for lvl in self._levels]
 
     def order(self) -> int:
-        n = 1
-        for lvl in self._levels:
-            n *= len(lvl.transversal)
-        return n
+        return math.prod(len(lvl.tree) for lvl in self._levels)
 
     def contains(self, p: Perm) -> bool:
         return p.degree == self.degree and _sift(self._levels, p)[0].is_identity()
@@ -362,32 +383,12 @@ class PermGroup:
         return self.contains(p)
 
     def rebase(self, base_hint: Sequence[int]) -> "PermGroup":
-        """The same group and generators, with a base starting with base_hint.
-
-        Random Schreier-Sims with known order (Seress 2003, section 4.5): a
-        product of one random transversal entry per level of this complete
-        chain, deepest first, is a uniformly random element.  Each is sifted
-        into levels pinned to base_hint; a residue becomes a strong generator
-        and grows the orbits of its level and every earlier one by orbit walks
-        alone.  The loop stops when the product of the basic orbit lengths
-        equals self.order(), which proves the new chain complete.  The random
-        source has a fixed seed, so a call always builds the same chain.
-        """
+        """The same group and generators, with a base starting with base_hint:
+        Schreier-Sims on the strong generators, stopped at this order."""
         if any(not (0 <= b < self.degree) for b in base_hint):
             raise ValueError("base hint point out of range")
-        levels = [_Level(b, self.degree) for b in base_hint]
-        order = self.order()
-        entries = [list(lvl.transversal.values()) for lvl in reversed(self._levels)]
-        rng = random.Random(0x5EED)
-        while math.prod(len(lvl.transversal) for lvl in levels) < order:
-            g = rng.choice(entries[0])
-            for us in entries[1:]:
-                g = g * rng.choice(us)
-            residue, j = _sift(levels, g)
-            if not residue.is_identity():
-                _append_gen(levels, residue, j)
-                for i in range(j + 1):
-                    _grow(levels, i)
+        levels = _schreier_sims([_Level(b) for b in base_hint], self.strong_generators,
+                                self.order())
         return PermGroup._from_chain(self.generators, self.degree, levels)
 
     def orbit(self, point: int) -> tuple[int, ...]:
@@ -404,7 +405,7 @@ class PermGroup:
         if not pts:
             return self
         tail = self.rebase(pts)._levels[len(pts):]  # a complete chain of its own
-        return PermGroup._from_chain([g for lvl in tail for g in lvl.gens], self.degree, tail)
+        return PermGroup._from_chain(tail[0].gens if tail else (), self.degree, tail)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer((point,))
@@ -428,19 +429,21 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
     levels = group._levels
     k = len(levels)
     base_pts = [lvl.point for lvl in levels]
-    orbits = [sorted(lvl.transversal) for lvl in levels]
+    orbits = [sorted(lvl.tree) for lvl in levels]
+    ims = [[g.images for g in lvl.gens] for lvl in levels]
+    ident = tuple(range(group.degree))
     found: list[Perm] = []
 
-    def extend(i: int, w: Perm, imgs: list[int]) -> Perm | None:
+    def extend(i: int, w: tuple[int, ...], imgs: list[int]) -> Perm | None:
         if i == k:
-            return w if test(w) else None
-        wi = w.images
+            p = Perm._raw(w)
+            return p if test(p) else None
         for d in orbits[i]:
-            img = wi[d]
+            img = w[d]
             if prune is not None and not prune(i, img, imgs):
                 continue
             imgs.append(img)
-            r = extend(i + 1, levels[i].transversal[d] * w, imgs)
+            r = extend(i + 1, _spell(levels[i].tree, ims[i], d, w), imgs)
             imgs.pop()
             if r is not None:
                 return r
@@ -454,7 +457,7 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
             if prune is not None and not prune(i, d, prefix):
                 continue
             imgs = prefix + [d]
-            g = extend(i + 1, levels[i].transversal[d], imgs)
+            g = extend(i + 1, _spell(levels[i].tree, ims[i], d, ident), imgs)
             if g is not None:
                 found.append(g)
     # extend refers to itself through its closure; emptying that cell frees

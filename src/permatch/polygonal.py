@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, is_connected
 from .matchings import _2arc_tree, _group_or_aut, check_group_action
-from .perms import BlockSystem, PermGroup, orbits
+from .perms import BlockSystem, PermGroup, _spell, orbits
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,7 @@ def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> Cycl
     for d in g.neighbors(c):
         if d == b or any(h.images[d] != d for h in stab):
             continue
-        t, arc = tuple(range(g.n)), (b, c, d)
-        while tree[arc] is not None:  # t: the tree's word carrying (a, b, c) to (b, c, d)
-            arc, k = tree[arc]
-            t = tuple(map(t.__getitem__, ims[k]))
+        t = _spell(tree, ims, (b, c, d), tuple(range(g.n)))
         cyc = [a]
         while t[cyc[-1]] != a:
             cyc.append(t[cyc[-1]])

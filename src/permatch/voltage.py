@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph, Matching, _is_prime, is_connected, validate_matching
 from .matchings import check_group_action
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, _schreier_sims
 
 DEFAULT_COVER_CAP = 100000
 
@@ -368,12 +368,14 @@ def _translations(cover: CoverGraph) -> list[Perm]:
 
 def lift_group(cover: CoverGraph, base_group: PermGroup) -> PermGroup:
     """The group generated by lifts of the base generators together with the
-    covering transformations; its order is |base group| * p^k."""
+    covering transformations; its order is |base group| * p^k.  No larger
+    group projects onto the base group with kernel in the p^k covering
+    transformations, so Schreier-Sims stops at that order."""
     check_group_action(cover.base, base_group)
     gens = [lift_automorphism(cover, a) for a in base_group.generators]
     gens.extend(_translations(cover))
-    lifted = PermGroup(gens, degree=cover.graph.n)
     expected = base_group.order() * cover.p ** cover.k
+    lifted = PermGroup._from_chain(gens, cover.graph.n, _schreier_sims([], gens, expected))
     if lifted.order() != expected:
         raise AssertionError("lifted group has order %d, expected %d"
                              % (lifted.order(), expected))

@@ -6,6 +6,7 @@ every m-matching of each small graph; matching_report with the default
 group is checked to be invariant under relabeling.
 """
 
+import gc
 import math
 import random
 from itertools import combinations, permutations
@@ -34,6 +35,7 @@ from permatch import (
     is_arc_transitive,
     is_locally_primitive,
     is_locally_symmetric,
+    matching_catalog,
     matching_join,
     matching_report,
     matching_stabilizer,
@@ -394,6 +396,62 @@ def test_degree_bound_check_verifies_group_once(monkeypatch):
                         lambda self, p: checked.append(p) or original(self, p))
     assert degree_bound_check(g, grp, Matching([(0, 1), (2, 3), (4, 5)]))
     assert checked == list(grp.generators) and 1 <= len(checked) <= g.n - 1
+
+
+def test_find_matching_leaves_no_reference_cycle():
+    # with the collector off, a cycle left behind by the call is garbage
+    # that only gc.collect() finds
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (cycle(9), cycle(8)):
+            find_matching(g, None, 3, MODE_PERMUTABLE)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def relabeled_catalog_graphs(draw):
+    """A catalog graph for m = 2..5 in either mode, relabeled, with m and
+    the mode."""
+    m = draw(st.integers(2, 5))
+    mode = draw(st.sampled_from((MODE_PERMUTABLE, MODE_TWO_TRANSITIVE)))
+    g = draw(st.sampled_from(matching_catalog(m, mode).entries)).graph
+    return g.apply_perm(Perm(draw(st.permutations(range(g.n))))), m, mode
+
+
+@seed(2017)
+@settings(max_examples=40, deadline=None, database=None)
+@given(relabeled_catalog_graphs())
+def test_find_matching_witness_checked_independently(case):
+    """The stabilizer generators of a witness are automorphisms that map it
+    onto itself, and the edge permutations they induce generate S_m or a
+    2-transitive group, by closure."""
+    g, m, mode = case
+    grp = automorphism_group(g)
+    witness = find_matching(g, grp, m, mode)
+    assert witness is not None
+    index = {frozenset(e): i for i, e in enumerate(witness)}
+    induced = []
+    for p in matching_stabilizer(g, grp, witness).generators:
+        assert all(g.has_edge(p.apply(u), p.apply(v)) for u, v in g.edges())
+        images = [index.get(frozenset(map(p.apply, e))) for e in witness]
+        assert None not in images
+        induced.append(tuple(images))
+    closure = {tuple(range(m))}
+    frontier = list(closure)
+    while frontier:
+        t = frontier.pop()
+        for q in induced:
+            u = tuple(q[x] for x in t)
+            if u not in closure:
+                closure.add(u)
+                frontier.append(u)
+    if mode == MODE_PERMUTABLE:
+        assert len(closure) == math.factorial(m)
+    else:
+        assert {(t[0], t[1]) for t in closure} == set(permutations(range(m), 2))
 
 
 @st.composite

@@ -75,6 +75,31 @@ def test_perm_algebra():
         assert p ** 0 == Perm.identity(n)
 
 
+@st.composite
+def perm_triples(draw):
+    """Three permutations of one degree in 1..9."""
+    n = draw(st.integers(1, 9))
+    return tuple(Perm(draw(st.permutations(range(n)))) for _ in range(3))
+
+
+@seed(2017)
+@settings(max_examples=200, deadline=None, database=None)
+@given(perm_triples(), st.integers(-6, 6))
+def test_perm_algebra_laws(triple, k):
+    p, q, r = triple
+    n = p.degree
+    ident = Perm.identity(n)
+    assert (p * q) * r == p * (q * r)
+    assert p * ident == p == ident * p
+    assert (p * p.inverse()).is_identity() and (p.inverse() * p).is_identity()
+    power = ident
+    for _ in range(abs(k)):
+        power = power * (p if k > 0 else p.inverse())
+    assert p ** k == power
+    assert Perm.from_cycles(n, p.cycles()) == p
+    assert Perm.parse(p.cycle_string(), n) == p
+
+
 def test_perm_rejects_non_bijections():
     with pytest.raises(ValueError):
         Perm([0, 0, 1])

@@ -7,6 +7,7 @@ fiber projection; small covers are identified up to isomorphism.
 
 import json
 import random
+import time
 from itertools import product
 
 import pytest
@@ -273,6 +274,40 @@ def test_lift_group_orders():
     g = cycle(6)
     cov = derived_cover(standard_assignment(g, 2, spanning_tree(g)))
     assert lift_group(cov, automorphism_group(g)).order() == 24
+
+
+def test_lift_group_chain_matches_full_schreier_sims():
+    # lift_group stops its Schreier-Sims once the chain reaches |G| * p^k;
+    # the chain must describe the group a full run builds
+    rng = random.Random(2017)
+    for base, p in ((petersen(), 2), (complete(4), 3)):
+        cov = derived_cover(standard_assignment(base, p, spanning_tree(base)))
+        n = cov.graph.n
+        lifted = lift_group(cov, automorphism_group(base))
+        full = PermGroup(lifted.generators, degree=n)
+        assert lifted.order() == full.order()
+        for a, b in ((lifted, full), (full, lifted)):
+            assert all(s in b for s in a.generators + a.strong_generators)
+        for _ in range(25):
+            w = Perm.identity(n)
+            for _ in range(10):
+                w = w * rng.choice(lifted.generators)
+            assert w in lifted and w in full
+            other = w * Perm.from_cycles(n, [rng.sample(range(n), 2)])
+            assert (other in lifted) == (other in full)
+            images = list(range(n))
+            rng.shuffle(images)
+            assert (Perm(images) in lifted) == (Perm(images) in full)
+
+
+def test_lift_group_at_cover_scale():
+    base = complete(5)
+    cov = derived_cover(standard_assignment(base, 3, spanning_tree(base)))
+    aut = automorphism_group(base)
+    started = time.perf_counter()
+    lifted = lift_group(cov, aut)
+    assert time.perf_counter() - started < 5.0
+    assert cov.graph.n == 3645 and lifted.order() == 120 * 3 ** 6
 
 
 def test_induced_voltage_map_is_a_homomorphism():
