@@ -92,11 +92,9 @@ from .polygonal import (
 )
 from .voltage import (
     VoltageAssignment,
-    VoltageMatrix,
     covering_transformations,
     cycle_system_matching,
     derived_cover,
-    induced_voltage_map,
     lift_automorphism,
     lift_group,
     lift_matching_in_tree,

@@ -54,6 +54,7 @@ from .matchings import (
 from .perms import Perm, PermGroup
 from .polygonal import near_polygonal_certificate, quotient_by_partition
 from .voltage import (
+    DEFAULT_COVER_CAP,
     derived_cover,
     lift_group,
     lift_matching_in_tree,
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=int, required=True, help="prime modulus")
     p.add_argument("--tree-contains", help="edges u-v,... the spanning tree must use")
     p.add_argument("--group", default="auto")
-    p.add_argument("--max-vertices", type=int, default=100000)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_COVER_CAP)
     p.add_argument("--out", help="prefix for .g6 and .fibers.json outputs")
     p.set_defaults(func=_cmd_cover)
 

@@ -231,9 +231,11 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
-def _colex_subsets(universe: int, size: int) -> list[tuple[int, ...]]:
-    subs = itertools.combinations(range(universe), size)
-    return sorted(subs, key=lambda s: tuple(reversed(s)))
+def _odd_graph_subsets(m: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """The (m-1)-subsets of {0, ..., 2m-2} as sorted tuples in colexicographic
+    order, and the index of each: the vertex numbering of odd_graph(m)."""
+    subsets = sorted(itertools.combinations(range(2 * m - 1), m - 1), key=lambda s: s[::-1])
+    return subsets, {s: i for i, s in enumerate(subsets)}
 
 
 def odd_graph(m: int) -> tuple[Graph, list[Perm]]:
@@ -246,8 +248,7 @@ def odd_graph(m: int) -> tuple[Graph, list[Perm]]:
     if m < 2:
         raise ValueError("odd graph needs m >= 2")
     k = 2 * m - 1
-    subsets = _colex_subsets(k, m - 1)
-    index = {frozenset(s): i for i, s in enumerate(subsets)}
+    subsets, index = _odd_graph_subsets(m)
     edges = []
     for i, s in enumerate(subsets):
         si = frozenset(s)
@@ -261,17 +262,16 @@ def odd_graph(m: int) -> tuple[Graph, list[Perm]]:
 
 
 def _subset_action(subsets, index, sym_perm: Perm) -> Perm:
-    images = [index[frozenset(sym_perm.images[x] for x in s)] for s in subsets]
+    images = [index[tuple(sorted(sym_perm.images[x] for x in s))] for s in subsets]
     return Perm(images)
 
 
 def odd_graph_vertex(m: int, symbols: Iterable[int]) -> int:
     """The vertex id of a given (m-1)-subset of {0, ..., 2m-2}."""
-    subsets = _colex_subsets(2 * m - 1, m - 1)
     key = tuple(sorted(symbols))
     try:
-        return subsets.index(key)
-    except ValueError:
+        return _odd_graph_subsets(m)[1][key]
+    except KeyError:
         raise ValueError("not an (m-1)-subset: %r" % (key,)) from None
 
 
@@ -280,9 +280,7 @@ def odd_graph_action(m: int, sym_perm: Perm) -> Perm:
     the 2m-1 symbols."""
     if sym_perm.degree != 2 * m - 1:
         raise ValueError("symbol permutation must have degree 2m-1")
-    subsets = _colex_subsets(2 * m - 1, m - 1)
-    index = {frozenset(s): i for i, s in enumerate(subsets)}
-    return _subset_action(subsets, index, sym_perm)
+    return _subset_action(*_odd_graph_subsets(m), sym_perm)
 
 
 def hypercube(m: int) -> Graph:

@@ -7,16 +7,18 @@ basis vector.  The derived cover has vertex set V x Z_p^k, with (u, h)
 adjacent to (v, h + xi(u, v)); vertex (v, h) gets index num(h)*|V| + v where
 num reads h as a little-endian base-p number.
 
-Every automorphism a of the base lifts: h -> h*M_a + c_v(a), where row i of
-M_a is the voltage of the a-image of the i-th fundamental cycle and c_v(a)
-is the voltage of the a-image of the tree path from the root to v.
+Every automorphism a of the base lifts: (v, h) -> (a(v), h*M_a + c_v(a)).
+One pass over the tree arcs u -> v in breadth-first order from the root
+gives the shifts, c_root = 0 and c_v = c_u + xi(a(u), a(v)); row i of M_a is
+then c_u + xi(a(u), a(v)) - c_v for the i-th cotree edge (u, v).  The
+covering transformations are the same fiber map with a = 1, M = I and every
+shift e_i.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import Graph, Matching, _is_prime, is_connected, validate_matching
@@ -101,6 +103,8 @@ class VoltageAssignment:
 
     def __init__(self, base: Graph, p: int, tree: Iterable[tuple[int, int]],
                  cotree_voltages: dict[tuple[int, int], tuple[int, ...]]):
+        if not _is_prime(p):
+            raise ValueError("p must be prime (got %d)" % p)
         tree_set = frozenset((min(u, v), max(u, v)) for u, v in tree)
         edges = base.edges()
         edge_set = set(edges)
@@ -131,28 +135,28 @@ class VoltageAssignment:
         self.tree = tree_set
         self.cotree = tuple(cotree)
         self._arc = arc
-        self._paths = self._tree_paths()
-        # spanning tree exists, so the base is connected and a root path
-        # reaches every vertex
-        assert all(len(path) >= 1 for path in self._paths)
+        self._tree_arcs = self._bfs_tree_arcs()
 
-    def _tree_paths(self) -> list[tuple[int, ...]]:
+    def _bfs_tree_arcs(self) -> tuple[tuple[int, int], ...]:
+        """The tree arcs (parent, child) in breadth-first order from the
+        root, vertex 0, with ascending neighbor order."""
         adj: dict[int, list[int]] = {v: [] for v in range(self.base.n)}
         for u, v in self.tree:
             adj[u].append(v)
             adj[v].append(u)
-        paths: list[tuple[int, ...] | None] = [None] * self.base.n
-        paths[0] = (0,)
+        seen = {0}
+        arcs = []
         queue = deque([0])
         while queue:
             u = queue.popleft()
             for v in sorted(adj[u]):
-                if paths[v] is None:
-                    paths[v] = paths[u] + (v,)
+                if v not in seen:
+                    seen.add(v)
+                    arcs.append((u, v))
                     queue.append(v)
-        if any(p is None for p in paths):
+        if len(seen) != self.base.n:
             raise ValueError("tree does not span the graph")
-        return [p for p in paths if p is not None]
+        return tuple(arcs)
 
     def voltage(self, u: int, v: int) -> tuple[int, ...]:
         vec = self._arc.get((u, v))
@@ -166,16 +170,6 @@ class VoltageAssignment:
         for u, v in zip(walk, walk[1:]):
             total = _vadd(total, self.voltage(u, v), self.p)
         return total
-
-    def tree_path(self, v: int) -> tuple[int, ...]:
-        """Vertices of the tree path from the root (vertex 0) to v."""
-        return self._paths[v]
-
-    def fundamental_cycle(self, i: int) -> tuple[int, ...]:
-        """Closed walk at the root: root .. u, (u, v), v .. root for the
-        i-th cotree edge (u, v)."""
-        u, v = self.cotree[i]
-        return self._paths[u] + tuple(reversed(self._paths[v]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,8 +202,6 @@ class VoltageAssignment:
 
 def standard_assignment(g: Graph, p: int, tree: Iterable[tuple[int, int]]) -> VoltageAssignment:
     """Basis voltages: the i-th cotree edge, low-to-high, gets e_i."""
-    if not _is_prime(p):
-        raise ValueError("p must be prime (got %d)" % p)
     tree_set = frozenset((min(u, v), max(u, v)) for u, v in tree)
     cotree = [e for e in g.edges() if e not in tree_set]
     k = len(cotree)
@@ -276,66 +268,55 @@ def derived_cover(assignment: VoltageAssignment,
     return CoverGraph(assignment, max_vertices)
 
 
-@dataclass(frozen=True)
-class VoltageMatrix:
-    """A linear map on Z_p^k acting on row vectors from the right."""
+def _fiber_map(cover: CoverGraph, images: Sequence[int],
+               products: Sequence[tuple[int, ...]], shifts: Sequence[tuple[int, ...]]) -> Perm:
+    """The cover map (v, h) -> (images[v], h*M + shifts[v]), where M is given
+    by its action on every fiber label, products[num] = vectors[num]*M.
+    Vertices sharing a shift share their image fiber, so each h costs one
+    fiber lookup per distinct shift.
 
-    rows: tuple[tuple[int, ...], ...]
-    p: int
-
-    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        k = len(self.rows)
-        out = [0] * k
-        for i, x in enumerate(vec):
-            if x:
-                row = self.rows[i]
-                for j in range(k):
-                    out[j] += x * row[j]
-        return tuple(x % self.p for x in out)
-
-    def compose(self, other: "VoltageMatrix") -> "VoltageMatrix":
-        """self then other (matrix product self * other)."""
-        return VoltageMatrix(tuple(other.apply(row) for row in self.rows), self.p)
-
-
-def induced_voltage_map(assignment: VoltageAssignment, a: Perm) -> VoltageMatrix:
-    """The action of a base automorphism on voltages: basis vector i maps to
-    the voltage of the a-image of the i-th fundamental cycle."""
-    base = assignment.base
-    if not base.is_automorphism(a):
-        raise ValueError("not an automorphism of the base graph")
-    rows = []
-    for i in range(assignment.k):
-        walk = assignment.fundamental_cycle(i)
-        image = [a.images[x] for x in walk]
-        rows.append(assignment.walk_voltage(image))
-    mat = VoltageMatrix(tuple(rows), assignment.p)
-    if _rank_mod_p(list(mat.rows), assignment.k, assignment.p) != assignment.k:
-        raise AssertionError("induced voltage map is singular")
-    return mat
+    Not checked to be a permutation: on a cover without isolated vertices,
+    is_automorphism rejects any map that is not one.
+    """
+    n, p = cover.base.n, cover.p
+    num = cover._num
+    by_shift: dict[tuple[int, ...], list[int]] = {}
+    for v, s in enumerate(shifts):
+        by_shift.setdefault(s, []).append(v)
+    groups = [(s, vs, [images[v] for v in vs]) for s, vs in by_shift.items()]
+    out = [0] * cover.graph.n
+    for num_h, hm in enumerate(products):
+        offset = num_h * n
+        for s, sources, targets in groups:
+            fiber = num[tuple((x + y) % p for x, y in zip(hm, s))] * n
+            for v, w in zip(sources, targets):
+                out[offset + v] = fiber + w
+    return Perm._raw(tuple(out))
 
 
 def lift_automorphism(cover: CoverGraph, a: Perm) -> Perm:
     """The lift of a base automorphism fixing the zero vector over the root:
     (v, h) maps to (a(v), h*M_a + c_v(a))."""
     xi = cover.assignment
-    mat = induced_voltage_map(xi, a)
     base = cover.base
-    shifts = []
-    for v in range(base.n):
-        image_path = [a.images[x] for x in xi.tree_path(v)]
-        shifts.append(xi.walk_voltage(image_path))
-    n = base.n
-    images = [0] * cover.graph.n
-    for num_h, h in enumerate(cover.vectors):
-        hm = mat.apply(h)
-        for v in range(n):
-            images[num_h * n + v] = cover.vertex_id(a.images[v], _vadd(hm, shifts[v], xi.p))
-    lift = Perm(images)
+    if not base.is_automorphism(a):
+        raise ValueError("not an automorphism of the base graph")
+    p, im, volt = xi.p, a.images, xi.voltage
+    shifts = [(0,) * xi.k] * base.n
+    for u, v in xi._tree_arcs:
+        shifts[v] = _vadd(shifts[u], volt(im[u], im[v]), p)
+    # h*M_a for every h, a coordinate at a time: the first varies fastest
+    products = [(0,) * xi.k]
+    for u, v in xi.cotree:
+        row = [(x + y - z) % p for x, y, z in zip(shifts[u], volt(im[u], im[v]), shifts[v])]
+        products = [tuple((x + c * y) % p for x, y in zip(t, row))
+                    for c in range(p) for t in products]
+    lift = _fiber_map(cover, im, products, shifts)
     if not cover.graph.is_automorphism(lift):
         raise AssertionError("lift is not an automorphism of the cover")
+    n = base.n
     for idx in range(cover.graph.n):
-        if lift.images[idx] % n != a.images[idx % n]:
+        if lift.images[idx] % n != im[idx % n]:
             raise AssertionError("lift does not commute with the projection")
     return lift
 
@@ -352,18 +333,9 @@ def covering_transformations(cover: CoverGraph) -> PermGroup:
 
 def _translations(cover: CoverGraph) -> list[Perm]:
     """The translations by each basis vector, in basis order."""
-    n = cover.base.n
-    gens = []
-    for i in range(cover.k):
-        basis = tuple(1 if j == i else 0 for j in range(cover.k))
-        images = [0] * cover.graph.n
-        for num_h, h in enumerate(cover.vectors):
-            shifted = cover.vertex_id(0, _vadd(h, basis, cover.p))
-            # shifted is the id of (0, h + basis); shift the whole fiber row
-            for v in range(n):
-                images[num_h * n + v] = shifted + v
-        gens.append(Perm(images))
-    return gens
+    n, k = cover.base.n, cover.k
+    eye = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return [_fiber_map(cover, range(n), cover.vectors, [e] * n) for e in eye]
 
 
 def lift_group(cover: CoverGraph, base_group: PermGroup) -> PermGroup:

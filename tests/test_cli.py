@@ -23,6 +23,7 @@ from permatch import (
     petersen,
 )
 import permatch.cli
+import permatch.voltage
 from permatch.cli import main
 
 
@@ -237,6 +238,10 @@ def test_cover_command(tmp_path, capsys):
     assert code == 2 and "malformed" in err
     code, _, err = run(capsys, ["cover", path, "-p", "2", "--tree-contains", "99-0"])
     assert code == 2 and "not an edge" in err
+
+    # the default cap is the library's
+    args = permatch.cli.build_parser().parse_args(["cover", path, "-p", "2"])
+    assert args.max_vertices == permatch.voltage.DEFAULT_COVER_CAP
 
     # a huge prime is tested in about sqrt(p) steps before the size cap rejects it
     started = time.monotonic()

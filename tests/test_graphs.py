@@ -271,6 +271,19 @@ def test_odd_graph_numbering_and_action():
         q = Perm(imgs)
         assert odd_graph_action(3, p * q) == odd_graph_action(3, p) * odd_graph_action(3, q)
 
+    # one numbering for the graph, its generators, vertex ids and the action
+    g, gens = odd_graph(4)
+    colex = sorted(combinations(range(7), 3), key=lambda s: s[::-1])
+    assert [odd_graph_vertex(4, reversed(s)) for s in colex] == list(range(35))
+    for i, s in enumerate(colex):
+        assert g.neighbors(i) == sorted(odd_graph_vertex(4, t) for t in colex
+                                        if not set(s) & set(t))
+    assert gens == [odd_graph_action(4, Perm.from_cycles(7, [(0, 1)])),
+                    odd_graph_action(4, Perm.from_cycles(7, [tuple(range(7))]))]
+    for bad in ([0, 1], [0, 0, 1], [0, 1, 7]):
+        with pytest.raises(ValueError, match="not an"):
+            odd_graph_vertex(4, bad)
+
 
 def test_paley_graphs():
     p3 = paley_incidence(3)

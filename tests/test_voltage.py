@@ -8,6 +8,7 @@ fiber projection; small covers are identified up to isomorphism.
 import json
 import random
 import time
+from collections import deque
 from itertools import product
 
 import pytest
@@ -18,7 +19,6 @@ from permatch import (
     Perm,
     PermGroup,
     VoltageAssignment,
-    VoltageMatrix,
     are_isomorphic,
     automorphism_group,
     complete,
@@ -27,7 +27,7 @@ from permatch import (
     cycle,
     cycle_system_matching,
     derived_cover,
-    induced_voltage_map,
+    hypercube,
     is_connected,
     lift_automorphism,
     lift_group,
@@ -96,8 +96,6 @@ def test_spanning_tree():
 
 
 def hyper8():
-    from permatch import hypercube
-
     return hypercube(3)
 
 
@@ -119,10 +117,9 @@ def test_standard_assignment_shape():
 
     assert standard_assignment(petersen(), 2, spanning_tree(petersen())).k == 6
     assert standard_assignment(cycle(6), 3, spanning_tree(cycle(6))).k == 1
-    with pytest.raises(ValueError):
-        standard_assignment(g, 4, spanning_tree(g))
-    with pytest.raises(ValueError):
-        standard_assignment(g, 1, spanning_tree(g))
+    for p in (0, 1, 4, -3):
+        with pytest.raises(ValueError, match="p must be prime"):
+            standard_assignment(g, p, spanning_tree(g))
 
 
 def test_assignment_validation():
@@ -151,6 +148,11 @@ def test_assignment_json_round_trip():
     bad["voltages"]["%d-%d" % tree_edge] = [1]
     with pytest.raises(ValueError):
         VoltageAssignment.from_json_dict(g, bad)
+    # the modulus is checked before any arithmetic uses it
+    for p in (0, 1, 4, -3):
+        bad = dict(xi.to_json_dict(), p=p)
+        with pytest.raises(ValueError, match=r"p must be prime \(got %d\)" % p):
+            VoltageAssignment.from_json_dict(g, bad)
 
 
 def test_walk_voltage_algebra():
@@ -170,13 +172,20 @@ def test_walk_voltage_algebra():
         tail = xi.walk_voltage(walk[cut:])
         assert a == tuple((x + y) % 5 for x, y in zip(head, tail))
     # tree paths carry zero voltage, fundamental cycles carry the basis
+    paths = {0: (0,)}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for v in g.neighbors(u):
+            if v not in paths and (min(u, v), max(u, v)) in xi.tree:
+                paths[v] = paths[u] + (v,)
+                frontier.append(v)
+    assert sorted(paths) == list(range(10))
     for v in range(10):
-        assert xi.walk_voltage(xi.tree_path(v)) == (0,) * xi.k
-    for i in range(xi.k):
-        cyc = xi.fundamental_cycle(i)
-        assert cyc[0] == cyc[-1] == 0
-        vec = xi.walk_voltage(cyc)
-        assert vec == tuple(1 if j == i else 0 for j in range(xi.k))
+        assert xi.walk_voltage(paths[v]) == (0,) * xi.k
+    for i, (u, v) in enumerate(xi.cotree):
+        cyc = paths[u] + tuple(reversed(paths[v]))
+        assert xi.walk_voltage(cyc) == tuple(1 if j == i else 0 for j in range(xi.k))
 
 
 def test_cycle_covers_are_cycles():
@@ -310,37 +319,66 @@ def test_lift_group_at_cover_scale():
     assert cov.graph.n == 3645 and lifted.order() == 120 * 3 ** 6
 
 
-def test_induced_voltage_map_is_a_homomorphism():
+def test_lifts_compose_up_to_covering_transformations():
+    # lifting is a homomorphism modulo the covering transformations:
+    # lift(a) * lift(b) and lift(a * b) differ by a translation
     g = complete(4)
-    xi = standard_assignment(g, 2, spanning_tree(g))
-    aut = automorphism_group(g)
-    ident = Perm(tuple(range(4)))
-    eye = induced_voltage_map(xi, ident)
-    assert eye.rows == tuple(tuple(1 if i == j else 0 for j in range(3))
-                             for i in range(3))
+    elements = group_elements(automorphism_group(g))
     rng = random.Random(3)
-    elements = group_elements(aut)
-    for _ in range(10):
-        a = rng.choice(elements)
-        b = rng.choice(elements)
-        mab = induced_voltage_map(xi, a * b)
-        assert mab == induced_voltage_map(xi, a).compose(induced_voltage_map(xi, b))
-        inv = induced_voltage_map(xi, a.inverse())
-        assert induced_voltage_map(xi, a).compose(inv) == eye
-    xi2 = standard_assignment(cycle(4), 2, spanning_tree(cycle(4)))
+    for p in (2, 3):
+        cov = derived_cover(standard_assignment(g, p, spanning_tree(g)))
+        ct = covering_transformations(cov)
+        ident = lift_automorphism(cov, Perm.identity(4))
+        assert ident.is_identity()
+        for _ in range(10):
+            a, b = rng.choice(elements), rng.choice(elements)
+            la, lb = lift_automorphism(cov, a), lift_automorphism(cov, b)
+            assert la * lb * lift_automorphism(cov, a * b).inverse() in ct
+            assert (la * lift_automorphism(cov, a.inverse())).is_identity()
+    cov4 = derived_cover(standard_assignment(cycle(4), 2, spanning_tree(cycle(4))))
     with pytest.raises(ValueError):
-        induced_voltage_map(xi2, Perm((1, 0, 2, 3)))  # not an automorphism of C4
+        lift_automorphism(cov4, Perm((1, 0, 2, 3)))  # not an automorphism of C4
 
 
-def test_voltage_matrix_algebra():
-    m = VoltageMatrix(((1, 1), (0, 1)), 2)
-    assert m.apply((1, 0)) == (1, 1)
-    assert m.apply((0, 1)) == (0, 1)
-    assert m.apply((1, 1)) == (1, 0)
-    sq = m.compose(m)
-    assert sq.apply((1, 0)) == (1, 0)
-    m3 = VoltageMatrix(((2, 1), (1, 1)), 3)
-    assert m3.apply((1, 2)) == ((2 + 2) % 3, (1 + 2) % 3)
+def path_lift(cover, images, start):
+    """The cover map over the base map `images` that sends vertex 0 to
+    start, by path lifting on the cover's adjacency alone: breadth-first
+    from vertex 0, each neighbour over w goes to the unique neighbour of
+    the image over images[w].  Asserts that the lifted walks agree."""
+    g, n = cover.graph, cover.base.n
+    lift = [None] * g.n
+    lift[0] = start
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for w in g.neighbors(x):
+            (y,) = [z for z in g.neighbors(lift[x]) if z % n == images[w % n]]
+            if lift[w] is None:
+                lift[w] = y
+                queue.append(w)
+            assert lift[w] == y
+    return Perm(lift)
+
+
+def test_lifts_match_path_lifting():
+    rng = random.Random(2000)
+    cases = ((complete(4), 3), (hypercube(3), 2), (petersen(), 2), (cycle(6), 5),
+             (complete_bipartite(3, 3), 2))
+    for g, p in cases:
+        cov = derived_cover(standard_assignment(g, p, spanning_tree(g)))
+        gens = automorphism_group(g).generators
+        words = []
+        for _ in range(5):
+            w = Perm.identity(g.n)
+            for _ in range(8):
+                w = w * rng.choice(gens)
+            words.append(w)
+        for a in list(gens) + words:
+            # the lift fixes the zero vector over the root: (0, 0) -> (a(0), 0)
+            assert lift_automorphism(cov, a) == path_lift(cov, a.images, a.apply(0))
+        basis = [tuple(int(i == j) for j in range(cov.k)) for i in range(cov.k)]
+        translations = [path_lift(cov, range(g.n), cov.vertex_id(0, e)) for e in basis]
+        assert list(covering_transformations(cov).generators) == translations
 
 
 def test_lift_matching_in_tree():
