@@ -4,6 +4,10 @@ Every command prints a single JSON run report to stdout:
 
     {"command": ..., "inputs": ..., "result": ..., "elapsed_ms": ...}
 
+Each ``_cmd_*`` function returns ``(inputs, result, exit_code)`` and prints
+nothing; ``main`` times the command and emits its report, so a command that
+raises prints no report.
+
 Exit codes: 0 on success (and when a queried property holds), 1 when a
 queried property fails or nothing is found, 2 on invalid input, 3 on an
 internal error (one "error: internal: <Type>: <message>" line on stderr).
@@ -89,17 +93,49 @@ def _graph_spec(token: str) -> Graph:
     """K5, Kbar4, C7, P3, a (a,b) bipartite pair like K3,3 -- or a graph6
     file path."""
     if token.startswith("Kbar"):
-        return empty_graph(int(token[4:]))
-    if "," in token and token.startswith("K"):
-        a, b = token[1:].split(",")
-        return complete_bipartite(int(a), int(b))
-    if token.startswith("K") and token[1:].isdigit():
-        return complete(int(token[1:]))
-    if token.startswith("C") and token[1:].isdigit():
-        return cycle(int(token[1:]))
-    if token.startswith("P") and token[1:].isdigit():
-        return path_graph(int(token[1:]))
-    return _read_graph(token)
+        family, params = "empty", [token[4:]]
+    elif "," in token and token.startswith("K"):
+        family, params = "complete-bipartite", token[1:].split(",")
+    elif token[:1] in _SHORTHAND and token[1:].isdigit():
+        family, params = _SHORTHAND[token[0]], [token[1:]]
+    else:
+        return _read_graph(token)
+    builder, values = _family_values(family, params)
+    return builder(*values)
+
+
+# gen families: name -> (builder, one parser per parameter)
+_FAMILIES = {
+    "complete": (complete, (int,)),
+    "empty": (empty_graph, (int,)),
+    "complete-bipartite": (complete_bipartite, (int, int)),
+    "cycle": (cycle, (int,)),
+    "path": (path_graph, (int,)),
+    "petersen": (petersen, ()),
+    "odd": (odd_graph, (int,)),
+    "hypercube": (hypercube, (int,)),
+    "folded-hypercube": (folded_hypercube, (int,)),
+    "paley": (paley_incidence, (int,)),
+    "paley-cliques": (paley_incidence_cliques, (int,)),
+    "join": (join, (_graph_spec, _graph_spec)),
+    "matching-join": (matching_join, (_graph_spec, _graph_spec)),
+    "composition": (composition, (_graph_spec, int)),
+    "subdivide-all": (subdivide_all, (_graph_spec,)),
+    "subdivide-non-matching": (subdivide_non_matching, (_graph_spec,)),
+    "subdivide-matching-twice": (subdivide_matching_twice, (_graph_spec,)),
+}
+# one-letter graph-spec prefixes -> gen family
+_SHORTHAND = {"K": "complete", "C": "cycle", "P": "path"}
+
+
+def _family_values(name: str, params: list[str]) -> tuple:
+    """The builder of a gen family and its parsed parameters."""
+    if name not in _FAMILIES:
+        raise ValueError("unknown family: %s" % name)
+    builder, parsers = _FAMILIES[name]
+    if len(params) != len(parsers):
+        raise ValueError("%s expects %d parameter(s)" % (name, len(parsers)))
+    return builder, [parse(x) for parse, x in zip(parsers, params)]
 
 
 def _emit(command: str, inputs: dict, result: dict, started: float) -> None:
@@ -123,86 +159,38 @@ def _graph_result(g: Graph) -> dict:
     }
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_gen(args: argparse.Namespace) -> tuple[dict, dict, int]:
     name = args.family
     params = list(args.params)
-
-    def ints(k: int) -> list[int]:
-        if len(params) != k:
-            raise ValueError("%s expects %d parameter(s)" % (name, k))
-        return [int(x) for x in params]
+    builder, values = _family_values(name, params)
+    if name == "matching-join":
+        values.append([int(x) for x in args.phi.split(",")] if args.phi
+                      else list(range(values[0].n)))
+    elif name in ("subdivide-non-matching", "subdivide-matching-twice"):
+        if not args.edges:
+            raise ValueError("%s requires --edges" % name)
+        values.append(Matching.parse(args.edges))
+    built = builder(*values)
 
     extra: dict = {}
-    if name == "complete":
-        g = complete(*ints(1))
-    elif name == "empty":
-        g = empty_graph(*ints(1))
-    elif name == "complete-bipartite":
-        g = complete_bipartite(*ints(2))
-    elif name == "cycle":
-        g = cycle(*ints(1))
-    elif name == "path":
-        g = path_graph(*ints(1))
-    elif name == "petersen":
-        ints(0)
-        g = petersen()
-    elif name == "odd":
-        g, gens = odd_graph(*ints(1))
+    if name == "odd":
+        g, gens = built
         extra["symbol_generators"] = [p.cycle_string() for p in gens]
-    elif name == "hypercube":
-        g = hypercube(*ints(1))
-    elif name == "folded-hypercube":
-        g = folded_hypercube(*ints(1))
-    elif name == "paley":
-        g = paley_incidence(*ints(1))
-    elif name == "paley-cliques":
-        g = paley_incidence_cliques(*ints(1))
-    elif name == "join":
-        if len(params) != 2:
-            raise ValueError("join expects two graph specs")
-        g = join(_graph_spec(params[0]), _graph_spec(params[1]))
-    elif name == "matching-join":
-        if len(params) != 2:
-            raise ValueError("matching-join expects two graph specs")
-        g1, g2 = _graph_spec(params[0]), _graph_spec(params[1])
-        phi = [int(x) for x in args.phi.split(",")] if args.phi else list(range(g1.n))
-        g = matching_join(g1, g2, phi)
-    elif name == "composition":
-        if len(params) != 2:
-            raise ValueError("composition expects a graph spec and a multiplier")
-        g = composition(_graph_spec(params[0]), int(params[1]))
     elif name == "subdivide-all":
-        if len(params) != 1:
-            raise ValueError("subdivide-all expects one graph spec")
-        g, vertex_map = subdivide_all(_graph_spec(params[0]))
+        g, vertex_map = built
         extra["edge_vertices"] = {"%d-%d" % e: w for e, w in sorted(vertex_map.items())}
-    elif name == "subdivide-non-matching":
-        if len(params) != 1:
-            raise ValueError("subdivide-non-matching expects one graph spec")
-        if not args.edges:
-            raise ValueError("subdivide-non-matching requires --edges")
-        g = subdivide_non_matching(_graph_spec(params[0]), Matching.parse(args.edges))
-    elif name == "subdivide-matching-twice":
-        if len(params) != 1:
-            raise ValueError("subdivide-matching-twice expects one graph spec")
-        if not args.edges:
-            raise ValueError("subdivide-matching-twice requires --edges")
-        g = subdivide_matching_twice(_graph_spec(params[0]), Matching.parse(args.edges))
     else:
-        raise ValueError("unknown family: %s" % name)
+        g = built
 
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(graph6_encode(g) + "\n")
     result = _graph_result(g)
     result.update(extra)
-    _emit("gen", {"family": name, "params": params}, result, started)
-    return 0
+    return {"family": name, "params": params}, result, 0
 
 
-def _cmd_aut(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_aut(args: argparse.Namespace) -> tuple[dict, dict, int]:
     g = _read_graph(args.graph)
     group = automorphism_group(g)
     result = {
@@ -211,26 +199,21 @@ def _cmd_aut(args: argparse.Namespace) -> int:
         "orbits": [sorted(o) for o in group.orbits()],
         "canonical_graph6": canonical_graph6(g),
     }
-    _emit("aut", {"graph": args.graph}, result, started)
-    return 0
+    return {"graph": args.graph}, result, 0
 
 
-def _cmd_matching_analyze(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_matching_analyze(args: argparse.Namespace) -> tuple[dict, dict, int]:
     mode = normalize_mode(args.check) if args.check else None
     g = _read_graph(args.graph)
     group = _read_group(args.group, g)
     matching = Matching.parse(args.edges)
     report = matching_report(g, matching, group)
-    _emit("matching-analyze", {"graph": args.graph, "edges": args.edges,
-                               "group": args.group}, report.to_json_dict(), started)
-    if mode is None:
-        return 0
-    return 0 if _passes(report, mode) else 1
+    inputs = {"graph": args.graph, "edges": args.edges, "group": args.group}
+    passed = mode is None or _passes(report, mode)
+    return inputs, report.to_json_dict(), 0 if passed else 1
 
 
-def _cmd_matching_find(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_matching_find(args: argparse.Namespace) -> tuple[dict, dict, int]:
     g = _read_graph(args.graph)
     group = _read_group(args.group, g)
     mode = normalize_mode(args.mode)
@@ -239,13 +222,11 @@ def _cmd_matching_find(args: argparse.Namespace) -> int:
     if witness is not None:
         result["matching"] = str(witness)
         result["report"] = matching_report(g, witness, group).to_json_dict()
-    _emit("matching-find", {"graph": args.graph, "m": args.m, "mode": mode,
-                            "group": args.group}, result, started)
-    return 0 if witness is not None else 1
+    inputs = {"graph": args.graph, "m": args.m, "mode": mode, "group": args.group}
+    return inputs, result, 0 if witness is not None else 1
 
 
-def _cmd_cover(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_cover(args: argparse.Namespace) -> tuple[dict, dict, int]:
     g = _read_graph(args.graph)
     group = _read_group(args.group, g)
     required = Matching.parse(args.tree_contains or "")
@@ -273,13 +254,12 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         with open(args.out + ".fibers.json", "w", encoding="ascii") as fh:
             json.dump(cover.to_fiber_json(), fh, sort_keys=True, indent=2)
             fh.write("\n")
-    _emit("cover", {"graph": args.graph, "p": args.p, "group": args.group,
-                    "tree_contains": args.tree_contains}, result, started)
-    return 0
+    inputs = {"graph": args.graph, "p": args.p, "group": args.group,
+              "tree_contains": args.tree_contains}
+    return inputs, result, 0
 
 
-def _cmd_near_polygonal(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_near_polygonal(args: argparse.Namespace) -> tuple[dict, dict, int]:
     g = _read_graph(args.graph)
     group = _read_group(args.group, g)
     system = near_polygonal_certificate(g, group)
@@ -288,13 +268,10 @@ def _cmd_near_polygonal(args: argparse.Namespace) -> int:
         result["cycle_length"] = system.length
         result["cycle_count"] = len(system.cycles)
         result["cycles"] = [list(c) for c in system.cycles]
-    _emit("near-polygonal", {"graph": args.graph, "group": args.group},
-          result, started)
-    return 0 if system is not None else 1
+    return {"graph": args.graph, "group": args.group}, result, 0 if system is not None else 1
 
 
-def _cmd_quotient(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_quotient(args: argparse.Namespace) -> tuple[dict, dict, int]:
     g = _read_graph(args.graph)
     with open(args.partition, "r", encoding="ascii") as fh:
         try:
@@ -310,29 +287,24 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
                          % (json.dumps(bad[0]), g.n - 1))
     group = _read_group(args.group, g) if args.group else None
     res = quotient_by_partition(g, [tuple(b) for b in blocks], group)
-    _emit("quotient", {"graph": args.graph, "partition": args.partition,
-                       "group": args.group}, res.to_json_dict(), started)
-    return 0
+    inputs = {"graph": args.graph, "partition": args.partition, "group": args.group}
+    return inputs, res.to_json_dict(), 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, dict, int]:
     mode = normalize_mode(args.mode)
     report = classify_mod.classification_report(args.m, mode)
-    _emit("classify", {"m": args.m, "mode": mode}, report, started)
-    return 0 if report["match"] else 1
+    return {"m": args.m, "mode": mode}, report, 0 if report["match"] else 1
 
 
-def _cmd_arc_transitivity(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_arc_transitivity(args: argparse.Namespace) -> tuple[dict, dict, int]:
     g = _read_graph(args.graph)
     group = _read_group(args.group, g)
     result = {
         "arc_transitive": is_arc_transitive(g, group),
         "two_arc_transitive": is_2arc_transitive(g, group),
     }
-    _emit("arcs", {"graph": args.graph, "group": args.group}, result, started)
-    return 0
+    return {"graph": args.graph, "group": args.group}, result, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,63 +313,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graphs whose automorphism groups act richly on a perfect matching.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the graph and group inputs of every command that analyzes a pair
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("graph")
+    pair.add_argument("--group", default="auto", help="'auto' or a generator file")
+
     p = sub.add_parser("gen", help="write a named graph as graph6")
-    p.add_argument("family")
+    p.add_argument("family", help="one of: " + ", ".join(_FAMILIES))
     p.add_argument("params", nargs="*")
     p.add_argument("--phi", help="comma-separated bijection for matching-join")
     p.add_argument("--edges", help="matching edges u-v,... for subdivision families")
     p.add_argument("--out", help="write graph6 to this file")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, report="gen")
 
     p = sub.add_parser("aut", help="automorphism group of a graph6 file")
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_aut)
+    p.set_defaults(func=_cmd_aut, report="aut")
 
     p = sub.add_parser("matching", help="analyze or search matchings")
     msub = p.add_subparsers(dest="subcommand", required=True)
-    pa = msub.add_parser("analyze", help="report on one matching")
-    pa.add_argument("graph")
+    pa = msub.add_parser("analyze", parents=[pair], help="report on one matching")
     pa.add_argument("--edges", required=True, help="matching edges u-v,...")
-    pa.add_argument("--group", default="auto", help="'auto' or a generator file")
     pa.add_argument("--check", help="exit 1 unless the matching passes this mode")
-    pa.set_defaults(func=_cmd_matching_analyze)
-    pf = msub.add_parser("find", help="search for a qualifying matching")
-    pf.add_argument("graph")
+    pa.set_defaults(func=_cmd_matching_analyze, report="matching-analyze")
+    pf = msub.add_parser("find", parents=[pair], help="search for a qualifying matching")
     pf.add_argument("-m", type=int, required=True, help="matching size")
     pf.add_argument("--mode", default="permutable")
-    pf.add_argument("--group", default="auto")
-    pf.set_defaults(func=_cmd_matching_find)
+    pf.set_defaults(func=_cmd_matching_find, report="matching-find")
 
-    p = sub.add_parser("cover", help="derived cover from a standard voltage assignment")
-    p.add_argument("graph")
+    p = sub.add_parser("cover", parents=[pair],
+                       help="derived cover from a standard voltage assignment")
     p.add_argument("-p", type=int, required=True, help="prime modulus")
     p.add_argument("--tree-contains", help="edges u-v,... the spanning tree must use")
-    p.add_argument("--group", default="auto")
     p.add_argument("--max-vertices", type=int, default=DEFAULT_COVER_CAP)
     p.add_argument("--out", help="prefix for .g6 and .fibers.json outputs")
-    p.set_defaults(func=_cmd_cover)
+    p.set_defaults(func=_cmd_cover, report="cover")
 
-    p = sub.add_parser("near-polygonal", help="search a cycle system covering 2-paths once")
-    p.add_argument("graph")
-    p.add_argument("--group", default="auto")
-    p.set_defaults(func=_cmd_near_polygonal)
+    p = sub.add_parser("near-polygonal", parents=[pair],
+                       help="search a cycle system covering 2-paths once")
+    p.set_defaults(func=_cmd_near_polygonal, report="near-polygonal")
 
     p = sub.add_parser("quotient", help="quotient by a vertex partition")
     p.add_argument("graph")
     p.add_argument("--partition", required=True, help="JSON file: list of vertex lists")
     p.add_argument("--group", help="'auto' or a generator file (optional)")
-    p.set_defaults(func=_cmd_quotient)
+    p.set_defaults(func=_cmd_quotient, report="quotient")
 
-    p = sub.add_parser("arcs", help="arc- and 2-arc-transitivity of a pair")
-    p.add_argument("graph")
-    p.add_argument("--group", default="auto")
-    p.set_defaults(func=_cmd_arc_transitivity)
+    p = sub.add_parser("arcs", parents=[pair], help="arc- and 2-arc-transitivity of a pair")
+    p.set_defaults(func=_cmd_arc_transitivity, report="arcs")
 
     p = sub.add_parser("classify", help="classify perfect matchings by group against the "
                        "catalog (m <= 10 permutable, m <= 8 two-transitive)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", default="permutable")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, report="classify")
 
     return parser
 
@@ -405,8 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        inputs, result, code = args.func(args)
+        _emit(args.report, inputs, result, started)
+        return code
     except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

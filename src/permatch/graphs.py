@@ -14,6 +14,7 @@ rather than n.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 from .perms import Perm
@@ -267,12 +268,13 @@ def _subset_action(subsets, index, sym_perm: Perm) -> Perm:
 
 
 def odd_graph_vertex(m: int, symbols: Iterable[int]) -> int:
-    """The vertex id of a given (m-1)-subset of {0, ..., 2m-2}."""
+    """The vertex id of a given (m-1)-subset of {0, ..., 2m-2}: its colex
+    rank, sum of C(s_i, i + 1) over the sorted symbols s_0 < s_1 < ..."""
     key = tuple(sorted(symbols))
-    try:
-        return _odd_graph_subsets(m)[1][key]
-    except KeyError:
-        raise ValueError("not an (m-1)-subset: %r" % (key,)) from None
+    if (len(key) != m - 1 or len(set(key)) != len(key)
+            or any(not 0 <= s <= 2 * m - 2 for s in key)):
+        raise ValueError("not an (m-1)-subset: %r" % (key,))
+    return sum(math.comb(s, i + 1) for i, s in enumerate(key))
 
 
 def odd_graph_action(m: int, sym_perm: Perm) -> Perm:
@@ -309,14 +311,36 @@ def folded_hypercube(m: int) -> Graph:
     return Graph(n, edges)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below _PRIME_LIMIT; the
+# first 12 already fail at 318665857834031151167461 (Sorenson & Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin; q must lie below _PRIME_LIMIT."""
+    if q >= _PRIME_LIMIT:
+        raise ValueError("primality is decided only below %d (got %d)" % (_PRIME_LIMIT, q))
     if q < 2:
         return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
+    for b in _PRIME_BASES:
+        if q % b == 0:
+            return q == b
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

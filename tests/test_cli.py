@@ -10,17 +10,33 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from permatch import (
     Graph,
+    Matching,
     are_isomorphic,
     automorphism_group,
     canonical_graph6,
+    complete,
+    complete_bipartite,
+    composition,
     cycle,
+    empty_graph,
+    folded_hypercube,
     graph6_decode,
     graph6_encode,
+    hypercube,
+    join,
     matching_join,
-    complete,
+    odd_graph,
+    paley_incidence,
+    paley_incidence_cliques,
+    path_graph,
     petersen,
+    subdivide_all,
+    subdivide_matching_twice,
+    subdivide_non_matching,
 )
 import permatch.cli
 import permatch.voltage
@@ -90,6 +106,56 @@ def test_gen_families(capsys):
     code, report, _ = run(capsys, ["gen", "subdivide-all", "K3"])
     assert code == 0
     assert report["result"]["edge_vertices"] == {"0-1": 3, "0-2": 4, "1-2": 5}
+
+
+# every gen family: (command-line parameters, options, the library's graph)
+GEN_CASES = {
+    "complete": (["5"], [], complete(5)),
+    "empty": (["4"], [], empty_graph(4)),
+    "complete-bipartite": (["2", "3"], [], complete_bipartite(2, 3)),
+    "cycle": (["7"], [], cycle(7)),
+    "path": (["4"], [], path_graph(4)),
+    "petersen": ([], [], petersen()),
+    "odd": (["3"], [], odd_graph(3)[0]),
+    "hypercube": (["3"], [], hypercube(3)),
+    "folded-hypercube": (["4"], [], folded_hypercube(4)),
+    "paley": (["7"], [], paley_incidence(7)),
+    "paley-cliques": (["7"], [], paley_incidence_cliques(7)),
+    "join": (["K3", "Kbar2"], [], join(complete(3), empty_graph(2))),
+    "matching-join": (["C5", "C5"], ["--phi", "0,3,1,4,2"],
+                      matching_join(cycle(5), cycle(5), [0, 3, 1, 4, 2])),
+    "composition": (["P3", "2"], [], composition(path_graph(3), 2)),
+    "subdivide-all": (["K2,3"], [], subdivide_all(complete_bipartite(2, 3))[0]),
+    "subdivide-non-matching": (["C6"], ["--edges", "0-1,2-3,4-5"],
+                               subdivide_non_matching(cycle(6), Matching.parse("0-1,2-3,4-5"))),
+    "subdivide-matching-twice": (["P4"], ["--edges", "0-1,2-3"],
+                                 subdivide_matching_twice(path_graph(4),
+                                                          Matching.parse("0-1,2-3"))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GEN_CASES))
+def test_gen_every_family(capsys, family):
+    assert set(GEN_CASES) == set(permatch.cli._FAMILIES)
+    params, options, want = GEN_CASES[family]
+    code, report, err = run(capsys, ["gen", family] + params + options)
+    assert code == 0 and err == ""
+    assert report["inputs"] == {"family": family, "params": params}
+    assert report["result"]["graph6"] == graph6_encode(want)
+
+    code, report, err = run(capsys, ["gen", family] + params + ["3"] + options)
+    assert code == 2 and report is None
+    assert err == "error: %s expects %d parameter(s)\n" % (family, len(params))
+
+
+def test_gen_help_names_every_family(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping inside names
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--help"])
+    assert exit_info.value.code == 0
+    help_text = capsys.readouterr().out
+    listed = help_text.split("one of: ")[1].splitlines()[0].split(", ")
+    assert listed == list(permatch.cli._FAMILIES) and set(listed) == set(GEN_CASES)
 
 
 def test_gen_rejects_bad_input(capsys):
@@ -243,11 +309,13 @@ def test_cover_command(tmp_path, capsys):
     args = permatch.cli.build_parser().parse_args(["cover", path, "-p", "2"])
     assert args.max_vertices == permatch.voltage.DEFAULT_COVER_CAP
 
-    # a huge prime is tested in about sqrt(p) steps before the size cap rejects it
-    started = time.monotonic()
-    code, _, err = run(capsys, ["cover", path, "-p", "1000000007"])
-    assert code == 2 and "cap" in err
-    assert time.monotonic() - started < 5.0
+    # a huge prime passes the primality test at once and the size cap rejects it
+    k4 = write_graph(tmp_path, complete(4), "k4.g6")
+    for g6, p in ((path, "1000000007"), (k4, "1000000000000000003")):
+        started = time.monotonic()
+        code, report, err = run(capsys, ["cover", g6, "-p", p])
+        assert code == 2 and report is None and "(cap 100000)" in err
+        assert time.monotonic() - started < 1.0
 
 
 def test_near_polygonal_command(tmp_path, capsys):
@@ -311,6 +379,41 @@ def test_quotient_rejects_deeply_nested_partition(tmp_path, capsys):
     code, report, err = run(capsys, ["quotient", path, "--partition", str(deep)])
     assert code == 2 and report is None
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# each command, a run that reports, and a run that fails on its input
+REPORT_CASES = [
+    ("gen", ["gen", "petersen"], ["gen", "nonesuch"]),
+    ("aut", ["aut", "{c6}"], ["aut", "{missing}"]),
+    ("matching-analyze", ["matching", "analyze", "{c6}", "--edges", "0-1,2-3,4-5"],
+     ["matching", "analyze", "{c6}", "--edges", "0-2"]),
+    ("matching-find", ["matching", "find", "{c6}", "-m", "3"],
+     ["matching", "find", "{missing}", "-m", "3"]),
+    ("cover", ["cover", "{c6}", "-p", "2"], ["cover", "{c6}", "-p", "4"]),
+    ("near-polygonal", ["near-polygonal", "{c6}"], ["near-polygonal", "{missing}"]),
+    ("quotient", ["quotient", "{c6}", "--partition", "{part}"],
+     ["quotient", "{c6}", "--partition", "{missing}"]),
+    ("arcs", ["arcs", "{c6}"], ["arcs", "{c6}", "--group", "{missing}"]),
+    ("classify", ["classify", "--m", "2"], ["classify", "--m", "1"]),
+]
+
+
+@pytest.mark.parametrize("command, argv, bad_argv", REPORT_CASES,
+                         ids=[case[0] for case in REPORT_CASES])
+def test_report_shape(tmp_path, capsys, command, argv, bad_argv):
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps([[0, 3], [1, 4], [2, 5]]), encoding="ascii")
+    paths = {"c6": write_graph(tmp_path, cycle(6)), "part": str(part),
+             "missing": str(tmp_path / "missing")}
+    code, report, err = run(capsys, [a.format(**paths) for a in argv])
+    assert code in (0, 1) and err == ""
+    assert sorted(report) == ["command", "elapsed_ms", "inputs", "result"]
+    assert report["command"] == command
+    assert type(report["elapsed_ms"]) is int and report["elapsed_ms"] >= 0
+
+    code, report, err = run(capsys, [a.format(**paths) for a in bad_argv])
+    assert code == 2 and report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -379,3 +482,10 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["vertices"] == 10
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "permatch.cli", "gen", "nonesuch"],
+        capture_output=True, text=True, timeout=60,
+        cwd=os.path.dirname(os.path.dirname(permatch.cli.__file__)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: unknown family: nonesuch\n"

@@ -50,6 +50,7 @@ from permatch import (
     subdivide_non_matching,
     validate_matching,
 )
+from permatch.graphs import _PRIME_LIMIT, _is_prime
 
 
 def random_graph(rng, n, p):
@@ -272,15 +273,18 @@ def test_odd_graph_numbering_and_action():
         assert odd_graph_action(3, p * q) == odd_graph_action(3, p) * odd_graph_action(3, q)
 
     # one numbering for the graph, its generators, vertex ids and the action
+    for m in range(2, 7):
+        colex = sorted(combinations(range(2 * m - 1), m - 1), key=lambda s: s[::-1])
+        assert [odd_graph_vertex(m, reversed(s)) for s in colex] == list(range(len(colex)))
     g, gens = odd_graph(4)
     colex = sorted(combinations(range(7), 3), key=lambda s: s[::-1])
-    assert [odd_graph_vertex(4, reversed(s)) for s in colex] == list(range(35))
     for i, s in enumerate(colex):
         assert g.neighbors(i) == sorted(odd_graph_vertex(4, t) for t in colex
                                         if not set(s) & set(t))
     assert gens == [odd_graph_action(4, Perm.from_cycles(7, [(0, 1)])),
                     odd_graph_action(4, Perm.from_cycles(7, [tuple(range(7))]))]
-    for bad in ([0, 1], [0, 0, 1], [0, 1, 7]):
+    # wrong size, a repeat, symbols out of range
+    for bad in ([0, 1], [0, 1, 2, 3], [0, 0, 1], [0, 1, 7], [-1, 0, 1]):
         with pytest.raises(ValueError, match="not an"):
             odd_graph_vertex(4, bad)
 
@@ -302,6 +306,22 @@ def test_paley_graphs():
     for bad in (5, 4, 9, 15):
         with pytest.raises(ValueError):
             paley_incidence(bad)
+
+
+def test_is_prime_is_exact_below_its_limit():
+    def trial_division(q):
+        return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+    assert [q for q in range(10 ** 5) if _is_prime(q)] == \
+        [q for q in range(10 ** 5) if trial_division(q)]
+    # Carmichael numbers and strong pseudoprimes to the bases 2..7, 2..31 and 2..37
+    for q in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(q), q
+    for q in (10 ** 15 + 37, 10 ** 18 + 3, 2 ** 61 - 1, 2 ** 79 - 67):
+        assert _is_prime(q), q
+    for q in (_PRIME_LIMIT, 3317044064679887385961981, 10 ** 30):
+        with pytest.raises(ValueError, match="below %d" % _PRIME_LIMIT):
+            _is_prime(q)
 
 
 def test_matching_type():
