@@ -4,7 +4,8 @@ The catalog lists the known families whose full automorphism group induces
 the symmetric group (permutable mode) or a 2-transitive group (two-transitive
 mode) on some perfect matching of 2m vertices.  classify_perfect_matchings
 finds every such connected graph from lifts of minimal 2-transitive groups
-into S_2 wr S_m, for m <= 10 (permutable) or m <= 8 (two-transitive).
+into S_2 wr S_m, for m <= CATALOG_MAX_M (permutable) or m <=
+_TWO_TRANSITIVE_MAX_M, the largest degree _MINIMAL_2T lists (two-transitive).
 """
 
 from __future__ import annotations
@@ -40,7 +41,24 @@ from .matchings import (
 from .perms import Perm, PermGroup, is_2transitive, orbits
 
 CATALOG_MAX_M = 10
-_TWO_TRANSITIVE_MAX_M = 8  # the largest degree _minimal_groups lists
+
+# cycles of generators (a_1, a_2), a_1 with the fewest cycles, of each minimal
+# 2-transitive group of degree m >= 4: every 2-transitive group contains a
+# conjugate of one (Dixon & Mortimer 1996, Permutation Groups, 7.7).  A
+# projective line over F_p is F_p and infinity = p.
+_MINIMAL_2T = {
+    4: [([(0, 1, 2)], [(1, 2, 3)])],  # A_4
+    5: [([(0, 1, 2, 3, 4)], [(1, 2, 4, 3)]),  # AGL(1,5): x + 1 and 2x
+        ([(0, 1, 2, 3, 4)], [(0, 1, 2)])],  # A_5
+    6: [([(0, 1, 2, 3, 4)], [(0, 5), (1, 4)])],  # PSL(2,5): x + 1 and -1/x
+    7: [([(0, 1, 2, 3, 4, 5, 6)], [(1, 3, 2, 6, 4, 5)]),  # AGL(1,7): x + 1 and 3x
+        # PSL(3,2) on the nonzero x + 1 of F_2^3: Singer cycle, transvection
+        ([(0, 1, 3, 2, 5, 6, 4)], [(0, 2), (4, 6)])],
+    # AGL(1,8) on F_2[t]/(t^3 + t + 1) as 3-bit ints: tx and x + 1
+    8: [([(1, 2, 4, 3, 6, 7, 5)], [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        ([(0, 1, 2, 3, 4, 5, 6)], [(0, 7), (1, 6), (2, 3), (4, 5)])],  # PSL(2,7)
+}
+_TWO_TRANSITIVE_MAX_M = max(_MINIMAL_2T)
 
 
 @dataclass(frozen=True)
@@ -107,28 +125,14 @@ def matching_catalog(m: int, mode: str) -> Catalog:
 
 def _minimal_groups(m: int, mode: str) -> list[tuple[Perm, Perm]]:
     """Generators (a_1, a_2), a_1 with the fewest cycles, of S_m (permutable
-    mode) or of each minimal 2-transitive group of degree m: every
-    2-transitive group contains a conjugate of one (Dixon & Mortimer 1996,
-    Permutation Groups, 7.7)."""
+    mode) or of each minimal 2-transitive group of degree m."""
     if not 2 <= m <= (CATALOG_MAX_M if mode == MODE_PERMUTABLE else _TWO_TRANSITIVE_MAX_M):
         raise ValueError("classify supports 2 <= m <= %d in permutable mode and "
                          "2 <= m <= %d in two-transitive mode"
                          % (CATALOG_MAX_M, _TWO_TRANSITIVE_MAX_M))
     if mode == MODE_PERMUTABLE or m <= 3:  # S_m
         return [(Perm.from_cycles(m, [tuple(range(m))]), Perm.from_cycles(m, [(0, 1)]))]
-    cycles = {  # a projective line over F_p is F_p and infinity = p
-        4: [([(0, 1, 2)], [(1, 2, 3)])],  # A_4
-        5: [([(0, 1, 2, 3, 4)], [(1, 2, 4, 3)]),  # AGL(1,5): x + 1 and 2x
-            ([(0, 1, 2, 3, 4)], [(0, 1, 2)])],  # A_5
-        6: [([(0, 1, 2, 3, 4)], [(0, 5), (1, 4)])],  # PSL(2,5): x + 1 and -1/x
-        7: [([(0, 1, 2, 3, 4, 5, 6)], [(1, 3, 2, 6, 4, 5)]),  # AGL(1,7): x + 1 and 3x
-            # PSL(3,2) on the nonzero x + 1 of F_2^3: Singer cycle, transvection
-            ([(0, 1, 3, 2, 5, 6, 4)], [(0, 2), (4, 6)])],
-        # AGL(1,8) on F_2[t]/(t^3 + t + 1) as 3-bit ints: tx and x + 1
-        8: [([(1, 2, 4, 3, 6, 7, 5)], [(0, 1), (2, 3), (4, 5), (6, 7)]),
-            ([(0, 1, 2, 3, 4, 5, 6)], [(0, 7), (1, 6), (2, 3), (4, 5)])],  # PSL(2,7)
-    }
-    return [(Perm.from_cycles(m, c1), Perm.from_cycles(m, c2)) for c1, c2 in cycles[m]]
+    return [(Perm.from_cycles(m, c1), Perm.from_cycles(m, c2)) for c1, c2 in _MINIMAL_2T[m]]
 
 
 def _lift(a: Perm, v: int) -> Perm:

@@ -252,7 +252,7 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[dict, dict, int]:
         with open(args.out + ".g6", "w", encoding="ascii") as fh:
             fh.write(graph6_encode(cover.graph) + "\n")
         with open(args.out + ".fibers.json", "w", encoding="ascii") as fh:
-            json.dump(cover.to_fiber_json(), fh, sort_keys=True, indent=2)
+            json.dump(cover.fiber_partition(), fh)
             fh.write("\n")
     inputs = {"graph": args.graph, "p": args.p, "group": args.group,
               "tree_contains": args.tree_contains}
@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_arc_transitivity, report="arcs")
 
     p = sub.add_parser("classify", help="classify perfect matchings by group against the "
-                       "catalog (m <= 10 permutable, m <= 8 two-transitive)")
+                       "catalog (m <= %d permutable, m <= %d two-transitive)"
+                       % (classify_mod.CATALOG_MAX_M, classify_mod._TWO_TRANSITIVE_MAX_M))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", default="permutable")
     p.set_defaults(func=_cmd_classify, report="classify")

@@ -363,10 +363,8 @@ def paley_incidence(q: int) -> Graph:
 
 def paley_incidence_cliques(q: int) -> Graph:
     """paley_incidence(q) with each side completed to a clique."""
-    squares = _paley_check(q)
-    edges = [(x, q + y) for x in range(q) for y in range(q) if (y - x) % q in squares]
-    edges += [(x, y) for x in range(q) for y in range(x + 1, q)]
-    edges += [(q + x, q + y) for x in range(q) for y in range(x + 1, q)]
+    edges = paley_incidence(q).edges()
+    edges += [(s + x, s + y) for s in (0, q) for x, y in itertools.combinations(range(q), 2)]
     return Graph(2 * q, edges)
 
 
@@ -415,36 +413,38 @@ def composition(g: Graph, m: int) -> Graph:
 # subdivisions
 
 
+def _subdivide(g: Graph, inner) -> tuple[Graph, dict[tuple[int, int], int]]:
+    """Replace each edge (u, v), u < v, by a path through inner((u, v)) new
+    vertices.  New vertices are numbered upward from n in lexicographic edge
+    order, the u-side first; the map sends each subdivided edge to its
+    u-side new vertex."""
+    edges = []
+    first = {}
+    w = g.n
+    for e in g.edges():
+        k = inner(e)
+        if k:
+            first[e] = w
+        path = [e[0], *range(w, w + k), e[1]]
+        edges += zip(path, path[1:])
+        w += k
+    return Graph(w, edges), first
+
+
 def subdivide_all(g: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
     """Replace every edge by a path of length 2.
 
     New vertices are appended in lexicographic edge order; the returned map
     sends each original edge (u, v), u < v, to its subdivision vertex.
     """
-    edges_in = g.edges()
-    n = g.n
-    vertex_of: dict[tuple[int, int], int] = {}
-    edges = []
-    for w, (u, v) in enumerate(edges_in, start=n):
-        vertex_of[(u, v)] = w
-        edges.append((u, w))
-        edges.append((w, v))
-    return Graph(n + len(edges_in), edges), vertex_of
+    return _subdivide(g, lambda e: 1)
 
 
 def subdivide_non_matching(g: Graph, matching: Matching) -> Graph:
     """Subdivide every edge not in the matching once; matching edges stay."""
     validate_matching(g, matching)
     keys = matching.edge_keys()
-    edges = [e for e in g.edges() if frozenset(e) in keys]
-    w = g.n
-    for u, v in g.edges():
-        if frozenset((u, v)) in keys:
-            continue
-        edges.append((u, w))
-        edges.append((w, v))
-        w += 1
-    return Graph(w, edges)
+    return _subdivide(g, lambda e: 0 if frozenset(e) in keys else 1)[0]
 
 
 def subdivide_matching_twice(g: Graph, matching: Matching) -> Graph:
@@ -453,14 +453,7 @@ def subdivide_matching_twice(g: Graph, matching: Matching) -> Graph:
     the u-side vertex first."""
     validate_matching(g, matching)
     keys = matching.edge_keys()
-    edges = [e for e in g.edges() if frozenset(e) not in keys]
-    w = g.n
-    for u, v in g.edges():
-        if frozenset((u, v)) not in keys:
-            continue
-        edges.extend(((u, w), (w, w + 1), (w + 1, v)))
-        w += 2
-    return Graph(w, edges)
+    return _subdivide(g, lambda e: 2 if frozenset(e) in keys else 0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,6 @@ class CycleSystem:
     length: int
     cycles: tuple[tuple[int, ...], ...]
 
-    def to_json_dict(self) -> dict:
-        return {"length": self.length, "cycles": [list(c) for c in self.cycles]}
-
 
 def _canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
     best = None
@@ -137,8 +134,8 @@ def quotient_by_partition(g: Graph, partition, group: PermGroup | None = None) -
     blocks.
     """
     blocks = partition if isinstance(partition, BlockSystem) else BlockSystem(partition)
-    covered = sorted(v for blk in blocks.blocks for v in blk)
-    if covered != list(range(g.n)):
+    index = blocks.block_of
+    if sorted(index) != list(range(g.n)):
         raise ValueError("partition must cover every vertex exactly once")
     if group is not None:
         check_group_action(g, group)
@@ -147,14 +144,6 @@ def quotient_by_partition(g: Graph, partition, group: PermGroup | None = None) -
             for blk in blocks.blocks:
                 if frozenset(p.images[x] for x in blk) not in key:
                     raise ValueError("group does not permute the partition blocks")
-
-    index = {}
-    for i, blk in enumerate(blocks.blocks):
-        for v in blk:
-            index[v] = i
-    masks = [0] * len(blocks.blocks)
-    for v in range(g.n):
-        masks[index[v]] |= 1 << v
 
     qedges = set()
     intra = False
@@ -166,14 +155,7 @@ def quotient_by_partition(g: Graph, partition, group: PermGroup | None = None) -
             qedges.add((min(bu, bv), max(bu, bv)))
     quotient = Graph(len(blocks.blocks), sorted(qedges))
 
-    regular = not intra
-    if regular:
-        for v in range(g.n):
-            bv = index[v]
-            for qb in quotient.neighbors(bv):
-                if (g.rows[v] & masks[qb]).bit_count() != 1:
-                    regular = False
-                    break
-            if not regular:
-                break
+    masks = [sum(1 << v for v in blk) for blk in blocks.blocks]
+    regular = not intra and all((g.rows[v] & masks[qb]).bit_count() == 1
+                                for v in range(g.n) for qb in quotient.neighbors(index[v]))
     return QuotientResult(quotient, blocks, regular)

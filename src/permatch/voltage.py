@@ -21,7 +21,7 @@ import itertools
 from collections import deque
 from typing import Iterable, Sequence
 
-from .graphs import Graph, Matching, _is_prime, is_connected, validate_matching
+from .graphs import Graph, Matching, _bits, _is_prime, is_connected, validate_matching
 from .matchings import check_group_action
 from .perms import Perm, PermGroup, _schreier_sims
 
@@ -58,7 +58,7 @@ def spanning_tree(g: Graph, required_edges: Iterable[tuple[int, int]] = ()) -> f
         members.setdefault(find(v), []).append(v)
 
     visited = {find(0)}
-    queue = deque(sorted(members[find(0)]))
+    queue = deque(members[find(0)])
     while queue:
         u = queue.popleft()
         for v in g.neighbors(u):
@@ -66,7 +66,7 @@ def spanning_tree(g: Graph, required_edges: Iterable[tuple[int, int]] = ()) -> f
             if rv not in visited:
                 visited.add(rv)
                 tree.add((min(u, v), max(u, v)))
-                queue.extend(sorted(members[rv]))
+                queue.extend(members[rv])
     if len(tree) != g.n - 1:
         raise ValueError("graph is not connected")
     return frozenset(tree)
@@ -99,29 +99,37 @@ def _rank_mod_p(rows: list[tuple[int, ...]], k: int, p: int) -> int:
 
 
 class VoltageAssignment:
-    """An arc voltage map into Z_p^k, zero on a spanning tree."""
+    """An arc voltage map into Z_p^k, zero on a spanning tree.
+
+    cotree_voltages maps each cotree edge (u, v), u < v, to its vector, or
+    lists the vectors in cotree order (lexicographic edge order).
+    """
 
     def __init__(self, base: Graph, p: int, tree: Iterable[tuple[int, int]],
-                 cotree_voltages: dict[tuple[int, int], tuple[int, ...]]):
+                 cotree_voltages: dict[tuple[int, int], tuple[int, ...]]
+                 | Sequence[tuple[int, ...]]):
         if not _is_prime(p):
             raise ValueError("p must be prime (got %d)" % p)
         tree_set = frozenset((min(u, v), max(u, v)) for u, v in tree)
         edges = base.edges()
-        edge_set = set(edges)
-        if not tree_set <= edge_set:
+        if not tree_set <= set(edges):
             raise ValueError("tree edges must be edges of the base graph")
         if len(tree_set) != base.n - 1:
             raise ValueError("tree has wrong size")
         cotree = [e for e in edges if e not in tree_set]
         k = len(cotree)
+        if isinstance(cotree_voltages, dict):
+            cotree_voltages = [cotree_voltages[e] for e in cotree]
+        if len(cotree_voltages) != k:
+            raise ValueError("need %d cotree voltages (got %d)" % (k, len(cotree_voltages)))
         vectors = []
         arc: dict[tuple[int, int], tuple[int, ...]] = {}
         zero = (0,) * k
         for u, v in tree_set:
             arc[(u, v)] = zero
             arc[(v, u)] = zero
-        for e in cotree:
-            vec = tuple(x % p for x in cotree_voltages[e])
+        for e, given in zip(cotree, cotree_voltages):
+            vec = tuple(x % p for x in given)
             if len(vec) != k:
                 raise ValueError("voltage vector has wrong length on %r" % (e,))
             vectors.append(vec)
@@ -140,21 +148,16 @@ class VoltageAssignment:
     def _bfs_tree_arcs(self) -> tuple[tuple[int, int], ...]:
         """The tree arcs (parent, child) in breadth-first order from the
         root, vertex 0, with ascending neighbor order."""
-        adj: dict[int, list[int]] = {v: [] for v in range(self.base.n)}
-        for u, v in self.tree:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
+        rows = Graph(self.base.n, self.tree).rows
+        seen = 1
         arcs = []
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    arcs.append((u, v))
-                    queue.append(v)
-        if len(seen) != self.base.n:
+        order = [0]
+        for u in order:
+            for v in _bits(rows[u] & ~seen):
+                seen |= 1 << v
+                arcs.append((u, v))
+                order.append(v)
+        if len(order) != self.base.n:
             raise ValueError("tree does not span the graph")
         return tuple(arcs)
 
@@ -179,38 +182,15 @@ class VoltageAssignment:
             "voltages": {"%d-%d" % e: list(self._arc[e]) for e in self.base.edges()},
         }
 
-    @classmethod
-    def from_json_dict(cls, base: Graph, data: dict) -> "VoltageAssignment":
-        p = int(data["p"])
-        tree = [tuple(e) for e in data["tree"]]
-        tree_set = {(min(u, v), max(u, v)) for u, v in tree}
-        volts = {}
-        for key, vec in data["voltages"].items():
-            u, v = (int(x) for x in key.split("-"))
-            e = (min(u, v), max(u, v))
-            vec = tuple(int(x) for x in vec)
-            if e in tree_set:
-                if any(vec):
-                    raise ValueError("tree arc %r must carry zero voltage" % (e,))
-            else:
-                volts[e] = vec
-        xi = cls(base, p, tree_set, volts)
-        if int(data["k"]) != xi.k:
-            raise ValueError("k does not match the cotree size")
-        return xi
-
 
 def standard_assignment(g: Graph, p: int, tree: Iterable[tuple[int, int]]) -> VoltageAssignment:
     """Basis voltages: the i-th cotree edge, low-to-high, gets e_i."""
-    tree_set = frozenset((min(u, v), max(u, v)) for u, v in tree)
-    cotree = [e for e in g.edges() if e not in tree_set]
-    k = len(cotree)
-    volts = {}
-    for i, e in enumerate(cotree):
-        vec = [0] * k
-        vec[i] = 1
-        volts[e] = tuple(vec)
-    return VoltageAssignment(g, p, tree_set, volts)
+    return VoltageAssignment(g, p, tree, _eye(g.num_edges - g.n + 1))
+
+
+def _eye(k: int) -> list[tuple[int, ...]]:
+    """The standard basis e_0, ..., e_{k-1} of Z^k."""
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
 
 class CoverGraph:
@@ -227,15 +207,14 @@ class CoverGraph:
         self.base = base
         self.p = p
         self.k = k
-        vectors = [tuple(h) for h in itertools.product(range(p), repeat=k)]
-        vectors.sort(key=lambda h: sum(x * p ** i for i, x in enumerate(h)))
-        self.vectors = tuple(vectors)  # vectors[num] is the fiber label
-        self._num = {h: i for i, h in enumerate(vectors)}
+        # vectors[num] is the fiber label h with num = sum of h_i * p^i
+        self.vectors = tuple(h[::-1] for h in itertools.product(range(p), repeat=k))
+        self._num = {h: i for i, h in enumerate(self.vectors)}
         n = base.n
         edges = []
         for u, v in base.edges():
             vec = assignment.voltage(u, v)
-            for num_h, h in enumerate(vectors):
+            for num_h, h in enumerate(self.vectors):
                 h2 = self._num[_vadd(h, vec, p)]
                 edges.append((num_h * n + u, h2 * n + v))
         self.graph = Graph(n_cover, edges)
@@ -252,15 +231,10 @@ class CoverGraph:
         """(base vertex, fiber vector) of a cover vertex."""
         return idx % self.base.n, self.vectors[idx // self.base.n]
 
-    def fiber(self, v: int) -> list[int]:
-        return [num * self.base.n + v for num in range(len(self.vectors))]
-
     def fiber_partition(self) -> list[list[int]]:
-        return [self.fiber(v) for v in range(self.base.n)]
-
-    def to_fiber_json(self) -> dict:
-        return {str(idx): [idx % self.base.n, list(self.vectors[idx // self.base.n])]
-                for idx in range(self.graph.n)}
+        """The fibers as vertex lists, fiber v (over base vertex v) at index v."""
+        n = self.base.n
+        return [list(range(v, self.graph.n, n)) for v in range(n)]
 
 
 def derived_cover(assignment: VoltageAssignment,
@@ -333,9 +307,8 @@ def covering_transformations(cover: CoverGraph) -> PermGroup:
 
 def _translations(cover: CoverGraph) -> list[Perm]:
     """The translations by each basis vector, in basis order."""
-    n, k = cover.base.n, cover.k
-    eye = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    return [_fiber_map(cover, range(n), cover.vectors, [e] * n) for e in eye]
+    n = cover.base.n
+    return [_fiber_map(cover, range(n), cover.vectors, [e] * n) for e in _eye(cover.k)]
 
 
 def lift_group(cover: CoverGraph, base_group: PermGroup) -> PermGroup:
@@ -377,43 +350,36 @@ def cycle_system_matching(cover: CoverGraph, alpha: int, cycles) -> Matching:
     unique cycle C_ij.  With h_i the sum over j != i of the voltage of C_ij
     traversed from alpha toward beta_i, the matching joins (alpha, h_i) to
     (beta_i, xi(alpha, beta_i) + h_i) for each neighbor beta_i of alpha.
+    C_ij traversed the other way has the opposite voltage, so one walk of
+    each cycle serves both ends.
     """
     if hasattr(cycles, "cycles"):
         cycles = cycles.cycles
     xi = cover.assignment
-    base = cover.base
-    if not (0 <= alpha < base.n):
+    p = xi.p
+    if not (0 <= alpha < cover.base.n):
         raise ValueError("alpha out of range")
-    nbrs = base.neighbors(alpha)
-
-    def oriented_walk(bi: int, bj: int) -> tuple[int, ...]:
-        hits = []
-        for cyc in cycles:
-            if alpha not in cyc:
-                continue
+    # each cycle through alpha, rotated to start there, under the pair of
+    # its vertices on either side of alpha
+    through: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for cyc in cycles:
+        if alpha in cyc:
             t = cyc.index(alpha)
-            around = {cyc[t - 1], cyc[(t + 1) % len(cyc)]}
-            if around == {bi, bj}:
-                hits.append((cyc, t))
-        if len(hits) != 1:
-            raise ValueError("2-path (%d, %d, %d) lies in %d cycles, need exactly 1"
-                             % (bi, alpha, bj, len(hits)))
-        cyc, t = hits[0]
-        seq = cyc[t:] + cyc[:t]
-        if seq[1] != bi:
-            seq = (seq[0],) + tuple(reversed(seq[1:]))
-        assert seq[0] == alpha and seq[1] == bi
-        return seq + (alpha,)
-
-    pairs = []
-    for bi in nbrs:
-        h = (0,) * xi.k
-        for bj in nbrs:
-            if bj == bi:
-                continue
-            h = _vadd(h, xi.walk_voltage(oriented_walk(bi, bj)), xi.p)
-        shift = _vadd(h, xi.voltage(alpha, bi), xi.p)
-        pairs.append((cover.vertex_id(alpha, h), cover.vertex_id(bi, shift)))
-    lifted = Matching(pairs)
+            around = frozenset((cyc[t - 1], cyc[(t + 1) % len(cyc)]))
+            through.setdefault(around, []).append(tuple(cyc[t:]) + tuple(cyc[:t]))
+    nbrs = cover.base.neighbors(alpha)
+    h = {b: (0,) * xi.k for b in nbrs}
+    for i, x in enumerate(nbrs):
+        for y in nbrs[i + 1:]:
+            hits = through.get(frozenset((x, y)), ())
+            if len(hits) != 1:
+                raise ValueError("2-path (%d, %d, %d) lies in %d cycles, need exactly 1"
+                                 % (x, alpha, y, len(hits)))
+            seq = hits[0] if hits[0][1] == x else (alpha,) + hits[0][:0:-1]
+            w = xi.walk_voltage(seq + (alpha,))
+            h[x] = _vadd(h[x], w, p)
+            h[y] = _vadd(h[y], _vneg(w, p), p)
+    lifted = Matching((cover.vertex_id(alpha, h[b]),
+                       cover.vertex_id(b, _vadd(h[b], xi.voltage(alpha, b), p))) for b in nbrs)
     validate_matching(cover.graph, lifted)
     return lifted

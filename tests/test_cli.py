@@ -6,6 +6,7 @@ test checks the module entry point.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -288,8 +289,13 @@ def test_cover_command(tmp_path, capsys):
 
     cov = graph6_decode((tmp_path / "cover.g6").read_text().strip())
     assert are_isomorphic(cov, cycle(12)) is not None
+    # the fibers file is a partition, fiber v at index v, that quotient reads
     fibers = json.loads((tmp_path / "cover.fibers.json").read_text())
-    assert len(fibers) == 12 and fibers["0"] == [0, [0]]
+    assert fibers == [[v, v + 6] for v in range(6)]
+    code, report, _ = run(capsys, ["quotient", prefix + ".g6", "--partition",
+                                   prefix + ".fibers.json"])
+    assert code == 0 and report["result"]["regular_cover"] is True
+    assert report["result"]["blocks"] == fibers
 
     code, _, err = run(capsys, ["cover", path, "-p", "9"])
     assert code == 2 and "error:" in err
@@ -489,3 +495,24 @@ def test_module_entry_point(tmp_path):
         cwd=os.path.dirname(os.path.dirname(permatch.cli.__file__)))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: unknown family: nonesuch\n"
+
+
+def test_readme_command_block(tmp_path, monkeypatch, capsys):
+    # every line of README's command block, run in order in one directory,
+    # exits 0 unless it is annotated "# exit N"
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("permatch ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    reports = {}
+    for line in lines:
+        command, _, note = line.partition("#")
+        expected = int(note.split()[1]) if note else 0
+        code, report, err = run(capsys, shlex.split(command)[1:])
+        assert code == expected, (line, err)
+        reports[report["command"]] = report["result"]
+    assert reports["quotient"]["regular_cover"] is True
+    assert reports["quotient"]["quotient_graph6"] == graph6_encode(petersen())

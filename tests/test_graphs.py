@@ -183,6 +183,26 @@ def test_subdivisions():
         subdivide_non_matching(cycle(6), Matching([(0, 2)]))
 
 
+def test_construction_numbering_is_pinned():
+    # the vertex numbering of each construction is part of the interface:
+    # new vertices upward from n in lexicographic edge order, u-side first
+    sub, mid = subdivide_all(complete(4))
+    assert graph6_encode(sub) == "I?qcb@OK?"
+    assert sorted(mid.items()) == [((0, 1), 4), ((0, 2), 5), ((0, 3), 6),
+                                   ((1, 2), 7), ((1, 3), 8), ((2, 3), 9)]
+    assert graph6_encode(subdivide_all(petersen())[0]) == \
+        "X???????E?P?`?W?GO@_?GO?W??`??O_?D??@G??D???Q???S??"
+    spokes = Matching([(i, i + 5) for i in range(5)])
+    assert graph6_encode(subdivide_non_matching(petersen(), spokes)) == \
+        "S?AA@?OAE?P?W?K?B??I?@G?A_?C_?A_?"
+    assert graph6_encode(subdivide_matching_twice(petersen(), spokes)) == \
+        "Shc??GE?s??`O??_c??A@C???_GO???_C"
+    m = Matching([(0, 1), (2, 3), (4, 5), (6, 7)])
+    assert graph6_encode(subdivide_non_matching(hypercube(3), m)) == "O`?G?E_aA_G_G_CO@O?I?"
+    assert graph6_encode(subdivide_matching_twice(hypercube(3), m)) == "OQ`@Oi?OH?A@A?@?_O?A@"
+    assert graph6_encode(paley_incidence_cliques(7)) == "M~~~{nJxZfvNV^J~_"
+
+
 def test_complement_and_induced():
     assert complement(complete(4)).edges() == []
     assert complement(complement(petersen())).rows == petersen().rows

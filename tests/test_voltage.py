@@ -5,7 +5,6 @@ Cover adjacency is checked directly against the defining rule
 fiber projection; small covers are identified up to isomorphism.
 """
 
-import json
 import random
 import time
 from collections import deque
@@ -133,26 +132,21 @@ def test_assignment_validation():
         VoltageAssignment(g, 5, tree, {cot: (1, 0)})  # wrong length
     with pytest.raises(ValueError):
         VoltageAssignment(g, 5, {(0, 2)}, {})  # not edges of the graph
-
-
-def test_assignment_json_round_trip():
+    # the vectors may also be listed in cotree order
     g = petersen()
-    xi = standard_assignment(g, 3, spanning_tree(g))
-    data = json.loads(json.dumps(xi.to_json_dict()))
-    back = VoltageAssignment.from_json_dict(g, data)
-    assert back.p == xi.p and back.k == xi.k and back.tree == xi.tree
-    for u, v in g.edges():
-        assert back.voltage(u, v) == xi.voltage(u, v)
-    bad = json.loads(json.dumps(xi.to_json_dict()))
-    tree_edge = sorted(xi.tree)[0]
-    bad["voltages"]["%d-%d" % tree_edge] = [1]
-    with pytest.raises(ValueError):
-        VoltageAssignment.from_json_dict(g, bad)
-    # the modulus is checked before any arithmetic uses it
-    for p in (0, 1, 4, -3):
-        bad = dict(xi.to_json_dict(), p=p)
-        with pytest.raises(ValueError, match=r"p must be prime \(got %d\)" % p):
-            VoltageAssignment.from_json_dict(g, bad)
+    tree = spanning_tree(g)
+    cotree = [e for e in g.edges() if e not in tree]
+    # unitriangular, so the vectors generate Z_3^6
+    vectors = [tuple(int(j >= i) * (1 + (i + j) % 2) for j in range(6)) for i in range(6)]
+    by_edge = VoltageAssignment(g, 3, tree, dict(zip(cotree, vectors)))
+    listed = VoltageAssignment(g, 3, tree, vectors)
+    assert listed.to_json_dict() == by_edge.to_json_dict()
+    assert listed.to_json_dict() == VoltageAssignment(g, 3, tree, tuple(vectors)).to_json_dict()
+    with pytest.raises(ValueError, match=r"need 6 cotree voltages \(got 5\)"):
+        VoltageAssignment(g, 3, tree, vectors[:5])
+    assert standard_assignment(g, 3, tree).to_json_dict() == \
+        VoltageAssignment(g, 3, tree, {e: tuple(int(e == f) for f in cotree)
+                                       for e in cotree}).to_json_dict()
 
 
 def test_walk_voltage_algebra():
@@ -223,8 +217,8 @@ def test_cover_fiber_bookkeeping():
     idx = cov.vertex_id(7, (1, 0, 1, 0, 0, 1))
     v, h = cov.fiber_of(idx)
     assert (v, h) == (7, (1, 0, 1, 0, 0, 1))
-    fj = cov.to_fiber_json()
-    assert fj[str(idx)] == [7, [1, 0, 1, 0, 0, 1]]
+    assert part[7] == [cov.vertex_id(7, h) for h in cov.vectors]
+    assert idx in part[7]
     assert cov.vertex_id(3, (0,) * 6) == 3  # zero fiber keeps base ids
 
 
@@ -452,3 +446,67 @@ def test_cycle_system_matching_accepts_system_object():
     m1 = cycle_system_matching(cov, 0, sys_obj)
     m2 = cycle_system_matching(cov, 0, sys_obj.cycles)
     assert m1.edges == m2.edges
+
+
+def per_pair_star_matching(cover, alpha, cycles):
+    """Reference for cycle_system_matching: for every ordered pair of
+    neighbours (b_i, b_j) of alpha, scan all cycles for the one through
+    (b_i, alpha, b_j) and add its voltage from alpha toward b_i to h_i."""
+    xi = cover.assignment
+    if not 0 <= alpha < cover.base.n:
+        raise ValueError("alpha out of range")
+    nbrs = cover.base.neighbors(alpha)
+    pairs = []
+    for bi in nbrs:
+        h = (0,) * xi.k
+        for bj in nbrs:
+            if bj == bi:
+                continue
+            hits = [(c, c.index(alpha)) for c in cycles if alpha in c
+                    and {c[c.index(alpha) - 1], c[(c.index(alpha) + 1) % len(c)]} == {bi, bj}]
+            if len(hits) != 1:
+                raise ValueError("2-path (%d, %d, %d) lies in %d cycles, need exactly 1"
+                                 % (bi, alpha, bj, len(hits)))
+            c, t = hits[0]
+            seq = c[t:] + c[:t]
+            if seq[1] != bi:
+                seq = seq[:1] + seq[:0:-1]
+            w = xi.walk_voltage(seq + (alpha,))
+            h = tuple((x + y) % xi.p for x, y in zip(h, w))
+        shift = tuple((x + y) % xi.p for x, y in zip(h, xi.voltage(alpha, bi)))
+        pairs.append((cover.vertex_id(alpha, h), cover.vertex_id(bi, shift)))
+    return Matching(pairs)
+
+
+def outcome(fn, *args):
+    try:
+        return str(fn(*args))
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def test_star_matchings_match_per_pair_scan():
+    # answers and first errors agree with the per-pair scan on valid cycle
+    # systems and on systems with a cycle dropped, repeated, or bent
+    # through a non-edge
+    from permatch import hypercube, near_polygonal_certificate
+
+    for g in (complete(4), complete(5), hypercube(3)):
+        cycles = list(near_polygonal_certificate(g).cycles)
+        variants = [cycles, [c[::-1] for c in cycles], []]
+        variants += [cycles[:i] + cycles[i + 1:] for i in range(len(cycles))]
+        variants += [cycles + [c] for c in cycles]
+        far = g.n - 1  # for Q_3: antipodal to 0, adjacent to no neighbour of 0
+        for c in cycles:
+            if 0 in c and len(c) > 3:
+                t = c.index(0)
+                bent = (0, c[(t + 1) % 4], far, c[t - 1])
+                variants.append([bent if d == c else d for d in cycles])
+                variants += [[bent if d == c else d for d in cycles if d != e]
+                             for e in cycles if e != c and 0 in e]
+        for p in (2, 3):
+            cov = derived_cover(standard_assignment(g, p, spanning_tree(g)))
+            for system in variants:
+                for alpha in range(-1, g.n + 1):
+                    expected = outcome(per_pair_star_matching, cov, alpha, system)
+                    assert outcome(cycle_system_matching, cov, alpha, system) == expected
