@@ -7,15 +7,20 @@ closed-form orders under random relabelings and against Schreier-Sims, and
 isomorphism answers against networkx.  Canonical forms are checked for
 invariance under random relabelings and for separating non-isomorphic
 graphs, including two strongly regular graphs that refinement alone cannot
-tell apart.
+tell apart.  The splitter-queue refinement is checked against the
+from-scratch one in refine_oracle.
 """
 
+import inspect
 import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permatch import (
     Graph,
@@ -30,14 +35,20 @@ from permatch import (
     complete_bipartite,
     composition,
     cycle,
+    derived_cover,
     empty_graph,
     graph6_decode,
     hypercube,
+    lift_group,
     matching_join,
     odd_graph,
     path_graph,
     petersen,
+    spanning_tree,
+    standard_assignment,
 )
+from permatch.autiso import _Partition, _search_graph
+from refine_oracle import is_equitable, refine
 
 
 def random_graph(rng, n, p):
@@ -247,3 +258,109 @@ def test_are_isomorphic_against_networkx():
         if w is not None:
             assert g.apply_perm(w) == h
 
+
+def _cells(part):
+    """The cells of a _Partition, in position order."""
+    out, c = [], 0
+    while c < len(part.perm):
+        out.append(part.perm[c:c + part.size[c]])
+        c += part.size[c]
+    return out
+
+
+def _cell_set(cells):
+    return {frozenset(c) for c in cells}
+
+
+def test_splitter_refinement_matches_from_scratch_oracle():
+    """From the unit partition and after individualizing each vertex of the
+    root's first non-singleton cell, the splitter queue reaches the same
+    cells as the from-scratch oracle, they are equitable, and undoing the
+    trail restores the root."""
+    rng = random.Random(1981)
+    # a sparse graph whose root refinement splits a waiting cell with its largest
+    # part last: that part must join the queue for the result to be equitable
+    cases = [Graph(10, [(0, 2), (0, 9), (1, 2), (2, 7), (3, 5), (4, 8), (5, 6), (5, 7), (7, 9)])]
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        cases.append(random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])))
+    for g in cases:
+        part = _Partition(g)
+        part.refine([0])
+        root = _cells(part)
+        assert _cell_set(root) == _cell_set(refine(g.rows, [list(range(g.n))]))
+        assert is_equitable(g.rows, root)
+        target = next((c for c in root if len(c) > 1), None)
+        if target is None:
+            continue
+        mark = len(part.trail)
+        for v in sorted(target):
+            part.refine([part.individualize(v)])
+            cells = _cells(part)
+            start = [[v], [x for x in target if x != v]]
+            expected = refine(g.rows, [c for c in root if c != target] + start)
+            assert _cell_set(cells) == _cell_set(expected), (g, v)
+            assert is_equitable(g.rows, cells)
+            part.undo(mark)
+            assert _cell_set(_cells(part)) == _cell_set(root)
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    limit = sys.getrecursionlimit()
+    _search_graph.cache_clear()
+    try:
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        grp = automorphism_group(empty_graph(120))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert grp.order() == math.factorial(120)
+
+
+def _cover(g, p):
+    return derived_cover(standard_assignment(g, p, spanning_tree(g)))
+
+
+def test_aut_group_of_cube_cover_is_the_lifted_group():
+    cov = _cover(hypercube(3), 3)  # 1,944 vertices
+    grp = automorphism_group(cov.graph)
+    lifted = lift_group(cov, automorphism_group(hypercube(3)))
+    assert grp.order() == lifted.order() == 11664
+    assert len(grp.generators) <= cov.graph.n - 1
+    assert all(cov.graph.is_automorphism(a) for a in grp.generators)
+
+
+def test_canonical_form_of_petersen_cover_invariant_under_relabeling():
+    g = _cover(petersen(), 2).graph  # 640 vertices
+    h = relabel(g, random_perm(random.Random(640), g.n))
+    assert canonical_graph6(h) == canonical_graph6(g)
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph on at most 10 vertices, a relabeling of it, and a second graph
+    with as many vertices and edges: the first with one edge moved or not,
+    under another relabeling."""
+    n = draw(st.integers(1, 10))
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, [e for e in pairs if draw(st.booleans())])
+    edges = g.edges()
+    free = [e for e in pairs if not g.has_edge(*e)]
+    if edges and free and draw(st.booleans()):
+        edges.remove(draw(st.sampled_from(edges)))
+        edges.append(draw(st.sampled_from(free)))
+    sigma = Perm(draw(st.permutations(range(n))))
+    tau = Perm(draw(st.permutations(range(n))))
+    return g, sigma, Graph(n, edges).apply_perm(tau)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(graph_pairs())
+def test_canonical_form_gate(case):
+    """canonical_graph6 is invariant under relabeling, and are_isomorphic
+    agrees with networkx."""
+    g, sigma, other = case
+    assert canonical_graph6(g.apply_perm(sigma)) == canonical_graph6(g)
+    w = are_isomorphic(g, other)
+    assert (w is not None) == nx.is_isomorphic(_to_nx(g), _to_nx(other))
+    if w is not None:
+        assert g.apply_perm(w) == other
