@@ -34,7 +34,6 @@ from .graphs import (
     composition,
     cycle,
     degree_sequence,
-    distance,
     empty_graph,
     folded_hypercube,
     graph6_decode,
@@ -86,7 +85,6 @@ from .polygonal import (
     CycleSystem,
     QuotientResult,
     near_polygonal_certificate,
-    orbit_partition,
     quotient_by_partition,
     verify_cycle_system,
 )

@@ -50,8 +50,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .graphs import Graph, _bits, graph6_encode
-from .perms import Perm, PermGroup, orbits
+from .graphs import Graph, _bits, degree_sequence, graph6_encode
+from .perms import Perm, PermGroup, _find, orbits
 
 
 class _Partition:
@@ -224,9 +224,9 @@ class _Search:
         if node.rest is None:
             node.rest = iter(part.perm[node.cell:node.cell + part.size[node.cell]])
         if node.first_path:
-            find = self._find
-            roots = {find(x) for x in node.explored}
-            node.child = next((v for v in node.rest if find(v) not in roots), None)
+            orbit = self._orbit
+            roots = {_find(orbit, x) for x in node.explored}
+            node.child = next((v for v in node.rest if _find(orbit, v) not in roots), None)
         else:
             if node.fixers is None:
                 node.fixers = [a for a in self.autos if all(a.images[p] == p for p in prefix)]
@@ -234,12 +234,6 @@ class _Search:
                 node.pruned.update(orbits(node.fixers, [u])[0])
             node.child = next((v for v in node.rest if v not in node.pruned), None)
         return node.child
-
-    def _find(self, x: int) -> int:
-        orbit = self._orbit
-        while orbit[x] != x:
-            orbit[x] = x = orbit[orbit[x]]
-        return x
 
     def _leaf(self, lab: list[int], prefix: list[int]) -> int:
         """Record the leaf whose labeling (vertex -> position) is lab; return
@@ -253,8 +247,9 @@ class _Search:
             # path's subtree below the divergence onto the one holding this leaf
             a = self.first[1] * labeling.inverse()
             self.autos.append(a)
+            orbit = self._orbit
             for x, y in enumerate(a.images):
-                self._orbit[self._find(x)] = self._find(y)
+                orbit[_find(orbit, x)] = _find(orbit, y)
             return next(i for i, (x, y) in enumerate(zip(prefix, self.path)) if x != y)
         elif rows < self.best[0]:
             self.best = (rows, labeling)
@@ -308,8 +303,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Perm | None:
     """
     if g1.n != g2.n or g1.num_edges != g2.num_edges:
         return None
-    if sorted(g1.rows[v].bit_count() for v in range(g1.n)) != \
-       sorted(g2.rows[v].bit_count() for v in range(g2.n)):
+    if degree_sequence(g1) != degree_sequence(g2):
         return None
     c1 = canonical_form(g1)
     c2 = canonical_form(g2)

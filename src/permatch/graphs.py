@@ -466,26 +466,6 @@ def complement(g: Graph) -> Graph:
     return Graph._raw(g.n, rows)
 
 
-def distance(g: Graph, u: int, v: int) -> int:
-    """BFS distance; -1 if v is unreachable from u."""
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = [u]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in _bits(g.rows[x] & ~seen):
-                if y == v:
-                    return d
-                seen |= 1 << y
-                nxt.append(y)
-        frontier = nxt
-    return -1
-
-
 def is_connected(g: Graph) -> bool:
     rows = g.rows
     seen = frontier = 1

@@ -296,7 +296,7 @@ def is_2arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
 
 
 def _local_image(g: Graph, group: PermGroup, v: int) -> PermGroup:
-    stab = group.point_stabilizer(v)
+    stab = group.pointwise_stabilizer((v,))
     image, _ = induced_action(stab, [(u,) for u in g.neighbors(v)])
     return image
 

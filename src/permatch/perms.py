@@ -171,9 +171,6 @@ class BlockSystem:
     def __repr__(self) -> str:
         return "BlockSystem(%r)" % (self.blocks,)
 
-    def is_trivial(self) -> bool:
-        return len(self.blocks) == 1 or all(len(b) == 1 for b in self.blocks)
-
 
 def orbits(gens: Sequence[Perm], seeds: Iterable, act: Callable = operator.getitem) -> list[dict]:
     """The orbits of <gens> through the seeds, one Schreier tree each.
@@ -339,10 +336,6 @@ class PermGroup:
         self._levels = _schreier_sims([], gens)
 
     @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls((), degree)
-
-    @classmethod
     def _from_chain(cls, generators: Iterable[Perm], degree: int,
                     levels: list[_Level]) -> "PermGroup":
         # internal: levels must be a complete chain of <generators>
@@ -376,11 +369,8 @@ class PermGroup:
     def order(self) -> int:
         return math.prod(len(lvl.tree) for lvl in self._levels)
 
-    def contains(self, p: Perm) -> bool:
-        return p.degree == self.degree and _sift(self._levels, p)[0].is_identity()
-
     def __contains__(self, p: Perm) -> bool:
-        return self.contains(p)
+        return p.degree == self.degree and _sift(self._levels, p)[0].is_identity()
 
     def rebase(self, base_hint: Sequence[int]) -> "PermGroup":
         """The same group and generators, with a base starting with base_hint:
@@ -406,9 +396,6 @@ class PermGroup:
             return self
         tail = self.rebase(pts)._levels[len(pts):]  # a complete chain of its own
         return PermGroup._from_chain(tail[0].gens if tail else (), self.degree, tail)
-
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        return self.pointwise_stabilizer((point,))
 
 
 def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
@@ -480,6 +467,13 @@ def is_2transitive(group: PermGroup) -> bool:
     return len(pairs) == n * (n - 1)
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest parent, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def minimal_block(group: PermGroup, pair: tuple[int, int]) -> BlockSystem:
     """The finest G-invariant partition of the points merging the given pair.
 
@@ -494,27 +488,20 @@ def minimal_block(group: PermGroup, pair: tuple[int, int]) -> BlockSystem:
         raise ValueError("bad pair %r" % (pair,))
 
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     queue = [(a, b)]
-    parent[find(b)] = find(a)
+    parent[b] = a
     while queue:
         x, y = queue.pop()
         for g in group.generators:
             gx, gy = g.images[x], g.images[y]
-            rx, ry = find(gx), find(gy)
+            rx, ry = _find(parent, gx), _find(parent, gy)
             if rx != ry:
                 parent[ry] = rx
                 queue.append((gx, gy))
 
     blocks: dict[int, list[int]] = {}
     for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
+        blocks.setdefault(_find(parent, x), []).append(x)
     return BlockSystem(blocks.values())
 
 

@@ -14,10 +14,11 @@ normalizes H sends c to a neighbor H fixes, so no candidate is missed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, graph6_encode, is_connected
 from .matchings import _2arc_tree, _group_or_aut, check_group_action
-from .perms import BlockSystem, PermGroup, _spell, orbits
+from .perms import BlockSystem, PermGroup, _spell, induced_action, orbits
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,6 @@ class QuotientResult:
     regular_cover: bool
 
     def to_json_dict(self) -> dict:
-        from .graphs import graph6_encode
-
         return {
             "quotient_graph6": graph6_encode(self.graph),
             "blocks": [sorted(b) for b in self.blocks.blocks],
@@ -120,11 +119,8 @@ class QuotientResult:
         }
 
 
-def orbit_partition(group: PermGroup) -> BlockSystem:
-    return BlockSystem(group.orbits())
-
-
-def quotient_by_partition(g: Graph, partition, group: PermGroup | None = None) -> QuotientResult:
+def quotient_by_partition(g: Graph, partition: Iterable[Iterable[int]],
+                          group: PermGroup | None = None) -> QuotientResult:
     """Collapse each block to a vertex; blocks are adjacent when any edge
     joins them.
 
@@ -133,17 +129,13 @@ def quotient_by_partition(g: Graph, partition, group: PermGroup | None = None) -
     adjacent block.  When a group is given, every generator must permute the
     blocks.
     """
-    blocks = partition if isinstance(partition, BlockSystem) else BlockSystem(partition)
+    blocks = BlockSystem(partition)
     index = blocks.block_of
     if sorted(index) != list(range(g.n)):
         raise ValueError("partition must cover every vertex exactly once")
     if group is not None:
         check_group_action(g, group)
-        key = {frozenset(b) for b in blocks.blocks}
-        for p in group.generators:
-            for blk in blocks.blocks:
-                if frozenset(p.images[x] for x in blk) not in key:
-                    raise ValueError("group does not permute the partition blocks")
+        induced_action(group, blocks.blocks)
 
     qedges = set()
     intra = False

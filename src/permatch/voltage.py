@@ -9,10 +9,11 @@ num reads h as a little-endian base-p number.
 
 Every automorphism a of the base lifts: (v, h) -> (a(v), h*M_a + c_v(a)).
 One pass over the tree arcs u -> v in breadth-first order from the root
-gives the shifts, c_root = 0 and c_v = c_u + xi(a(u), a(v)); row i of M_a is
-then c_u + xi(a(u), a(v)) - c_v for the i-th cotree edge (u, v).  The
-covering transformations are the same fiber map with a = 1, M = I and every
-shift e_i.
+gives the shifts, c_root = 0 and c_v = c_u + xi(a(u), a(v)).  Then
+M_a = V^-1 R_a, where row i of V is the voltage of the i-th cotree edge
+(u, v) and row i of R_a is c_u + xi(a(u), a(v)) - c_v; the standard
+assignment has V = I.  The covering transformations are the same fiber map
+with a = 1, M = I and every shift e_i.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph, Matching, _bits, _is_prime, is_connected, validate_matching
 from .matchings import check_group_action
-from .perms import Perm, PermGroup, _schreier_sims
+from .perms import Perm, PermGroup, _find, _schreier_sims
+from .polygonal import CycleSystem
 
 DEFAULT_COVER_CAP = 100000
 
@@ -37,17 +39,11 @@ def spanning_tree(g: Graph, required_edges: Iterable[tuple[int, int]] = ()) -> f
     """
     parent = list(range(g.n))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree: set[tuple[int, int]] = set()
     for u, v in required_edges:
         if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
             raise ValueError("required edge (%d, %d) is not an edge" % (u, v))
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             raise ValueError("required edges contain a cycle")
         parent[rv] = ru
@@ -55,14 +51,14 @@ def spanning_tree(g: Graph, required_edges: Iterable[tuple[int, int]] = ()) -> f
 
     members: dict[int, list[int]] = {}
     for v in range(g.n):
-        members.setdefault(find(v), []).append(v)
+        members.setdefault(_find(parent, v), []).append(v)
 
-    visited = {find(0)}
-    queue = deque(members[find(0)])
+    visited = {_find(parent, 0)}
+    queue = deque(members[_find(parent, 0)])
     while queue:
         u = queue.popleft()
         for v in g.neighbors(u):
-            rv = find(v)
+            rv = _find(parent, v)
             if rv not in visited:
                 visited.add(rv)
                 tree.add((min(u, v), max(u, v)))
@@ -80,34 +76,34 @@ def _vneg(a: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple((-x) % p for x in a)
 
 
-def _rank_mod_p(rows: list[tuple[int, ...]], k: int, p: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
+def _inverse_mod_p(rows: Sequence[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
+    """The inverse over Z_p of the matrix V with these rows, the cotree
+    voltages (entries in 0..p-1), by Gauss-Jordan elimination."""
+    k = len(rows)
+    mat = [list(r) + list(e) for r, e in zip(rows, _eye(k))]
     for col in range(k):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
+        piv = next((r for r in range(col, k) if mat[r][col]), None)
         if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
+            raise ValueError("voltages do not generate Z_p^k")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv = pow(mat[col][col], -1, p)
+        mat[col] = [(x * inv) % p for x in mat[col]]
+        for r in range(k):
+            if r != col and mat[r][col]:
                 f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[col])]
+    return [tuple(r[k:]) for r in mat]
 
 
 class VoltageAssignment:
     """An arc voltage map into Z_p^k, zero on a spanning tree.
 
-    cotree_voltages maps each cotree edge (u, v), u < v, to its vector, or
-    lists the vectors in cotree order (lexicographic edge order).
+    cotree_voltages lists the vectors of the cotree edges (u, v), u < v, in
+    cotree order (lexicographic edge order); they must form a basis of Z_p^k.
     """
 
     def __init__(self, base: Graph, p: int, tree: Iterable[tuple[int, int]],
-                 cotree_voltages: dict[tuple[int, int], tuple[int, ...]]
-                 | Sequence[tuple[int, ...]]):
+                 cotree_voltages: Sequence[tuple[int, ...]]):
         if not _is_prime(p):
             raise ValueError("p must be prime (got %d)" % p)
         tree_set = frozenset((min(u, v), max(u, v)) for u, v in tree)
@@ -118,8 +114,6 @@ class VoltageAssignment:
             raise ValueError("tree has wrong size")
         cotree = [e for e in edges if e not in tree_set]
         k = len(cotree)
-        if isinstance(cotree_voltages, dict):
-            cotree_voltages = [cotree_voltages[e] for e in cotree]
         if len(cotree_voltages) != k:
             raise ValueError("need %d cotree voltages (got %d)" % (k, len(cotree_voltages)))
         vectors = []
@@ -135,8 +129,7 @@ class VoltageAssignment:
             vectors.append(vec)
             arc[e] = vec
             arc[(e[1], e[0])] = _vneg(vec, p)
-        if _rank_mod_p(vectors, k, p) != k:
-            raise ValueError("voltages do not generate Z_p^k")
+        self._inverse = _inverse_mod_p(vectors, p)  # V^-1
         self.base = base
         self.p = p
         self.k = k
@@ -271,28 +264,34 @@ def _fiber_map(cover: CoverGraph, images: Sequence[int],
 def lift_automorphism(cover: CoverGraph, a: Perm) -> Perm:
     """The lift of a base automorphism fixing the zero vector over the root:
     (v, h) maps to (a(v), h*M_a + c_v(a))."""
-    xi = cover.assignment
-    base = cover.base
-    if not base.is_automorphism(a):
+    if not cover.base.is_automorphism(a):
         raise ValueError("not an automorphism of the base graph")
-    p, im, volt = xi.p, a.images, xi.voltage
-    shifts = [(0,) * xi.k] * base.n
-    for u, v in xi._tree_arcs:
-        shifts[v] = _vadd(shifts[u], volt(im[u], im[v]), p)
-    # h*M_a for every h, a coordinate at a time: the first varies fastest
-    products = [(0,) * xi.k]
-    for u, v in xi.cotree:
-        row = [(x + y - z) % p for x, y, z in zip(shifts[u], volt(im[u], im[v]), shifts[v])]
-        products = [tuple((x + c * y) % p for x, y in zip(t, row))
-                    for c in range(p) for t in products]
-    lift = _fiber_map(cover, im, products, shifts)
+    lift = _lift(cover, a)
     if not cover.graph.is_automorphism(lift):
         raise AssertionError("lift is not an automorphism of the cover")
-    n = base.n
+    n, im = cover.base.n, a.images
     for idx in range(cover.graph.n):
         if lift.images[idx] % n != im[idx % n]:
             raise AssertionError("lift does not commute with the projection")
     return lift
+
+
+def _lift(cover: CoverGraph, a: Perm) -> Perm:
+    """lift_automorphism without its checks."""
+    xi = cover.assignment
+    p, im, volt = xi.p, a.images, xi.voltage
+    shifts = [(0,) * xi.k] * cover.base.n
+    for u, v in xi._tree_arcs:
+        shifts[v] = _vadd(shifts[u], volt(im[u], im[v]), p)
+    r = [[(x + y - z) % p for x, y, z in zip(shifts[u], volt(im[u], im[v]), shifts[v])]
+         for u, v in xi.cotree]
+    # h*M_a for every h, a row of M_a = V^-1 R_a at a time: the first varies fastest
+    products = [(0,) * xi.k]
+    for inv_row in xi._inverse:
+        row = [sum(c * y for c, y in zip(inv_row, col)) % p for col in zip(*r)]
+        products = [tuple((x + c * y) % p for x, y in zip(t, row))
+                    for c in range(p) for t in products]
+    return _fiber_map(cover, im, products, shifts)
 
 
 def covering_transformations(cover: CoverGraph) -> PermGroup:
@@ -317,10 +316,14 @@ def lift_group(cover: CoverGraph, base_group: PermGroup) -> PermGroup:
     group projects onto the base group with kernel in the p^k covering
     transformations, so Schreier-Sims stops at that order."""
     check_group_action(cover.base, base_group)
-    gens = [lift_automorphism(cover, a) for a in base_group.generators]
+    gens = [_lift(cover, a) for a in base_group.generators]
     gens.extend(_translations(cover))
     expected = base_group.order() * cover.p ** cover.k
     lifted = PermGroup._from_chain(gens, cover.graph.n, _schreier_sims([], gens, expected))
+    try:
+        check_group_action(cover.graph, lifted)
+    except ValueError as exc:
+        raise AssertionError("lift is not an automorphism of the cover") from exc
     if lifted.order() != expected:
         raise AssertionError("lifted group has order %d, expected %d"
                              % (lifted.order(), expected))
@@ -343,18 +346,16 @@ def lift_matching_in_tree(cover: CoverGraph, matching: Matching) -> Matching:
     return lifted
 
 
-def cycle_system_matching(cover: CoverGraph, alpha: int, cycles) -> Matching:
+def cycle_system_matching(cover: CoverGraph, alpha: int, system: CycleSystem) -> Matching:
     """A matching over the star of alpha built from distinguished cycles.
 
-    cycles must cover each 2-path (beta_i, alpha, beta_j) through alpha by a
-    unique cycle C_ij.  With h_i the sum over j != i of the voltage of C_ij
-    traversed from alpha toward beta_i, the matching joins (alpha, h_i) to
-    (beta_i, xi(alpha, beta_i) + h_i) for each neighbor beta_i of alpha.
-    C_ij traversed the other way has the opposite voltage, so one walk of
-    each cycle serves both ends.
+    The system's cycles must cover each 2-path (beta_i, alpha, beta_j)
+    through alpha by a unique cycle C_ij.  With h_i the sum over j != i of
+    the voltage of C_ij traversed from alpha toward beta_i, the matching
+    joins (alpha, h_i) to (beta_i, xi(alpha, beta_i) + h_i) for each
+    neighbor beta_i of alpha.  C_ij traversed the other way has the
+    opposite voltage, so one walk of each cycle serves both ends.
     """
-    if hasattr(cycles, "cycles"):
-        cycles = cycles.cycles
     xi = cover.assignment
     p = xi.p
     if not (0 <= alpha < cover.base.n):
@@ -362,7 +363,7 @@ def cycle_system_matching(cover: CoverGraph, alpha: int, cycles) -> Matching:
     # each cycle through alpha, rotated to start there, under the pair of
     # its vertices on either side of alpha
     through: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for cyc in cycles:
+    for cyc in system.cycles:
         if alpha in cyc:
             t = cyc.index(alpha)
             around = frozenset((cyc[t - 1], cyc[(t + 1) % len(cyc)]))

@@ -348,7 +348,7 @@ def test_11_oracle_suites():
             imgs = list(range(degree))
             rng.shuffle(imgs)
             probe = Perm(imgs)
-            assert group.contains(probe) == (probe in closure)
+            assert (probe in group) == (probe in closure)
 
     # automorphism groups against the n!-filter
     circulant7 = Graph(7, [(i, (i + 1) % 7) for i in range(7)] +

@@ -3,6 +3,7 @@
 import pytest
 
 from permatch import (
+    BlockSystem,
     CycleSystem,
     Graph,
     Perm,
@@ -20,7 +21,6 @@ from permatch import (
     near_polygonal_certificate,
     odd_graph,
     odd_graph_action,
-    orbit_partition,
     paley_incidence,
     petersen,
     quotient_by_partition,
@@ -218,7 +218,7 @@ def test_quotient_by_fibers_recovers_base():
 
     # the fibers are exactly the orbits of the covering transformations
     ct = covering_transformations(cov)
-    parts = orbit_partition(ct)
+    parts = BlockSystem(ct.orbits())
     assert {frozenset(b) for b in parts.blocks} == \
         {frozenset(b) for b in cov.fiber_partition()}
     res2 = quotient_by_partition(cov.graph, parts, ct)
@@ -251,9 +251,9 @@ def test_quotient_validation():
 
 def test_orbit_partition_shapes():
     grp = automorphism_group(petersen())
-    parts = orbit_partition(grp)
+    parts = BlockSystem(grp.orbits())
     assert len(parts.blocks) == 1 and len(parts.blocks[0]) == 10
 
     trivial = PermGroup([], degree=4)
-    parts = orbit_partition(trivial)
+    parts = BlockSystem(trivial.orbits())
     assert sorted(map(list, parts.blocks)) == [[0], [1], [2], [3]]

@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 
 from permatch import (
+    CycleSystem,
     Graph,
     Matching,
     Perm,
@@ -32,6 +33,7 @@ from permatch import (
     lift_group,
     lift_matching_in_tree,
     matching_report,
+    near_polygonal_certificate,
     path_graph,
     petersen,
     spanning_tree,
@@ -125,28 +127,26 @@ def test_assignment_validation():
     g = cycle(4)
     tree = spanning_tree(g)
     (cot,) = [e for e in g.edges() if e not in tree]
-    VoltageAssignment(g, 5, tree, {cot: (3,)})
+    assert VoltageAssignment(g, 5, tree, [(3,)]).voltage(*cot) == (3,)
     with pytest.raises(ValueError):
-        VoltageAssignment(g, 5, tree, {cot: (0,)})  # does not generate Z_5
+        VoltageAssignment(g, 5, tree, [(0,)])  # does not generate Z_5
     with pytest.raises(ValueError):
-        VoltageAssignment(g, 5, tree, {cot: (1, 0)})  # wrong length
+        VoltageAssignment(g, 5, tree, [(1, 0)])  # wrong length
     with pytest.raises(ValueError):
-        VoltageAssignment(g, 5, {(0, 2)}, {})  # not edges of the graph
-    # the vectors may also be listed in cotree order
+        VoltageAssignment(g, 5, {(0, 2)}, [])  # not edges of the graph
     g = petersen()
     tree = spanning_tree(g)
     cotree = [e for e in g.edges() if e not in tree]
     # unitriangular, so the vectors generate Z_3^6
     vectors = [tuple(int(j >= i) * (1 + (i + j) % 2) for j in range(6)) for i in range(6)]
-    by_edge = VoltageAssignment(g, 3, tree, dict(zip(cotree, vectors)))
     listed = VoltageAssignment(g, 3, tree, vectors)
-    assert listed.to_json_dict() == by_edge.to_json_dict()
+    assert [listed.voltage(*e) for e in cotree] == vectors
     assert listed.to_json_dict() == VoltageAssignment(g, 3, tree, tuple(vectors)).to_json_dict()
     with pytest.raises(ValueError, match=r"need 6 cotree voltages \(got 5\)"):
         VoltageAssignment(g, 3, tree, vectors[:5])
     assert standard_assignment(g, 3, tree).to_json_dict() == \
-        VoltageAssignment(g, 3, tree, {e: tuple(int(e == f) for f in cotree)
-                                       for e in cotree}).to_json_dict()
+        VoltageAssignment(g, 3, tree, [tuple(int(e == f) for f in cotree)
+                                       for e in cotree]).to_json_dict()
 
 
 def test_walk_voltage_algebra():
@@ -277,6 +277,52 @@ def test_lift_group_orders():
     g = cycle(6)
     cov = derived_cover(standard_assignment(g, 2, spanning_tree(g)))
     assert lift_group(cov, automorphism_group(g)).order() == 24
+
+
+def test_lift_group_under_non_identity_voltages():
+    # M_a = V^-1 R_a: with V the cotree voltages as rows, R_a is M_a only when V = I
+    k4 = complete(4)
+    skew = VoltageAssignment(k4, 3, spanning_tree(k4), [(1, 1, 0), (0, 1, 0), (0, 0, 1)])
+    cases = [(skew, 648)]
+    rng = random.Random(2017)
+    for g, p, order in ((complete(4), 5, 3000), (petersen(), 2, 7680),
+                        (hypercube(3), 2, 1536), (complete(5), 2, 7680)):
+        k = g.num_edges - g.n + 1
+        while True:
+            vectors = [tuple(rng.randrange(p) for _ in range(k)) for _ in range(k)]
+            try:
+                cases.append((VoltageAssignment(g, p, spanning_tree(g), vectors), order))
+                break
+            except ValueError:
+                continue  # a singular draw
+    for xi, order in cases:
+        cov = derived_cover(xi)
+        base_group = automorphism_group(xi.base)
+        lifted = lift_group(cov, base_group)
+        assert lifted.order() == order == automorphism_group(cov.graph).order()
+        for a in base_group.generators:
+            assert lift_automorphism(cov, a) in lifted
+    with pytest.raises(ValueError, match="do not generate"):
+        VoltageAssignment(k4, 3, spanning_tree(k4), [(1, 1, 0), (2, 2, 0), (0, 0, 1)])
+
+
+def test_star_pipeline_verifies_each_lifted_generator_once(monkeypatch):
+    g = complete(4)
+    cov = derived_cover(standard_assignment(g, 3, spanning_tree(g)))
+    matching = cycle_system_matching(cov, 0, near_polygonal_certificate(g))
+    base_group = automorphism_group(g)
+    checked = []
+    original = Graph.is_automorphism
+
+    def counted(self, p):
+        if self is cov.graph:
+            checked.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(Graph, "is_automorphism", counted)
+    lifted = lift_group(cov, base_group)
+    assert matching_report(cov.graph, matching, lifted).permutable
+    assert checked == list(lifted.generators)
 
 
 def test_lift_group_chain_matches_full_schreier_sims():
@@ -418,7 +464,7 @@ def test_lifted_spanning_matchings_lose_permutability():
 def test_cycle_system_matching_on_tetrahedron():
     g = complete(4)
     cov = derived_cover(standard_assignment(g, 2, spanning_tree(g)))
-    triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    triangles = CycleSystem(3, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
     m = cycle_system_matching(cov, 0, triangles)
     got = {(cov.fiber_of(a), cov.fiber_of(b)) for a, b in m.edges}
     assert got == {
@@ -432,20 +478,9 @@ def test_cycle_system_matching_on_tetrahedron():
     assert rep.permutable
 
     with pytest.raises(ValueError):
-        cycle_system_matching(cov, 0, [(0, 1, 2)])  # 2-paths not all covered
+        cycle_system_matching(cov, 0, CycleSystem(3, ((0, 1, 2),)))  # 2-paths not all covered
     with pytest.raises(ValueError):
         cycle_system_matching(cov, 9, triangles)
-
-
-def test_cycle_system_matching_accepts_system_object():
-    from permatch import CycleSystem
-
-    g = complete(4)
-    cov = derived_cover(standard_assignment(g, 2, spanning_tree(g)))
-    sys_obj = CycleSystem(3, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
-    m1 = cycle_system_matching(cov, 0, sys_obj)
-    m2 = cycle_system_matching(cov, 0, sys_obj.cycles)
-    assert m1.edges == m2.edges
 
 
 def per_pair_star_matching(cover, alpha, cycles):
@@ -489,8 +524,6 @@ def test_star_matchings_match_per_pair_scan():
     # answers and first errors agree with the per-pair scan on valid cycle
     # systems and on systems with a cycle dropped, repeated, or bent
     # through a non-edge
-    from permatch import hypercube, near_polygonal_certificate
-
     for g in (complete(4), complete(5), hypercube(3)):
         cycles = list(near_polygonal_certificate(g).cycles)
         variants = [cycles, [c[::-1] for c in cycles], []]
@@ -509,4 +542,5 @@ def test_star_matchings_match_per_pair_scan():
             for system in variants:
                 for alpha in range(-1, g.n + 1):
                     expected = outcome(per_pair_star_matching, cov, alpha, system)
-                    assert outcome(cycle_system_matching, cov, alpha, system) == expected
+                    assert outcome(cycle_system_matching, cov, alpha,
+                                   CycleSystem(len(cycles[0]), tuple(system))) == expected
