@@ -33,7 +33,6 @@ from .graphs import (
 from .matchings import (
     MODE_PERMUTABLE,
     _on_edge,
-    _passes,
     find_matching,
     matching_report,
     normalize_mode,
@@ -80,12 +79,6 @@ class Catalog:
 
     def canonical_forms(self) -> frozenset[str]:
         return frozenset(e.canonical for e in self.entries)
-
-    def entry(self, name: str) -> CatalogEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
     def complete(self) -> bool:
         return all(e.witness is not None for e in self.entries)
@@ -181,7 +174,7 @@ def classify_perfect_matchings(m: int, mode: str) -> Catalog:
     known = {e.canonical: e.name for e in matching_catalog(m, mode).entries}
     entries = []
     for canon, g in sorted(classes.items()):
-        if not _passes(matching_report(g, matching), mode):
+        if not matching_report(g, matching).passes(mode):
             raise AssertionError("class %s fails its own matching" % canon)
         entries.append(CatalogEntry(known.get(canon, canon), g, canon, matching))
     return Catalog(m, mode, tuple(entries))

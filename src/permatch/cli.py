@@ -47,7 +47,6 @@ from .graphs import (
 )
 from .matchings import (
     _group_or_aut,
-    _passes,
     check_group_action,
     find_matching,
     is_2arc_transitive,
@@ -208,8 +207,8 @@ def _cmd_matching_analyze(args: argparse.Namespace) -> tuple[dict, dict, int]:
     group = _read_group(args.group, g)
     matching = Matching.parse(args.edges)
     report = matching_report(g, matching, group)
-    inputs = {"graph": args.graph, "edges": args.edges, "group": args.group}
-    passed = mode is None or _passes(report, mode)
+    inputs = {"graph": args.graph, "edges": args.edges, "group": args.group, "check": mode}
+    passed = mode is None or report.passes(mode)
     return inputs, report.to_json_dict(), 0 if passed else 1
 
 

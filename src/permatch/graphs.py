@@ -344,19 +344,15 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _paley_check(q: int) -> frozenset[int]:
-    if not _is_prime(q):
-        raise ValueError("q must be prime (got %d)" % q)
-    if q % 4 != 3:
-        raise ValueError("q must be congruent to 3 mod 4 (got %d)" % q)
-    return frozenset((x * x) % q for x in range(q))
-
-
 def paley_incidence(q: int) -> Graph:
     """Bipartite graph on GF(q) x {0, 1}: (x, 0) ~ (y, 1) iff y - x is a
     square mod q, with 0 counted as a square.  (x, 0) is vertex x and
     (x, 1) is vertex q + x."""
-    squares = _paley_check(q)
+    if not _is_prime(q):
+        raise ValueError("q must be prime (got %d)" % q)
+    if q % 4 != 3:
+        raise ValueError("q must be congruent to 3 mod 4 (got %d)" % q)
+    squares = frozenset((x * x) % q for x in range(q))
     edges = [(x, q + y) for x in range(q) for y in range(q) if (y - x) % q in squares]
     return Graph(2 * q, edges)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import autiso
 from .graphs import Graph, Matching, is_connected, validate_matching
@@ -75,7 +75,7 @@ def matching_stabilizer(g: Graph, group: PermGroup, matching: Matching) -> PermG
     """
     validate_matching(g, matching)
     check_group_action(g, group)
-    matched = sorted(set(matching.vertices()))
+    matched = matching.vertices()
     if not matched:
         return group
     partner = matching.partner_map()
@@ -123,19 +123,15 @@ class MatchingReport:
     two_transitive: bool
     induced_generators: tuple[Perm, ...]
 
+    def passes(self, mode: str) -> bool:
+        """Does the induced action meet the normalized mode?"""
+        return self.permutable if mode == MODE_PERMUTABLE else self.two_transitive
+
     def to_json_dict(self) -> dict:
-        return {
-            "matching": str(self.matching),
-            "m": self.m,
-            "is_matching": self.is_matching,
-            "is_perfect": self.is_perfect,
-            "group_order": self.group_order,
-            "stabilizer_order": self.stabilizer_order,
-            "induced_order": self.induced_order,
-            "permutable": self.permutable,
-            "two_transitive": self.two_transitive,
-            "induced_generators": [list(p.images) for p in self.induced_generators],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["matching"] = str(self.matching)
+        out["induced_generators"] = [list(p.images) for p in self.induced_generators]
+        return out
 
 
 def matching_report(g: Graph, matching: Matching,
@@ -143,7 +139,7 @@ def matching_report(g: Graph, matching: Matching,
     """Full symmetry report; group defaults to the automorphism group of g."""
     group = _group_or_aut(g, group)
     stab = matching_stabilizer(g, group, matching)
-    image, _ = induced_action(stab, [set(e) for e in matching])
+    image = induced_action(stab, [set(e) for e in matching])
     m = len(matching)
     induced_order = image.order()
     return MatchingReport(
@@ -158,12 +154,6 @@ def matching_report(g: Graph, matching: Matching,
         two_transitive=is_2transitive(image),
         induced_generators=image.generators,
     )
-
-
-def _passes(report: MatchingReport, mode: str) -> bool:
-    if mode == MODE_PERMUTABLE:
-        return report.permutable
-    return report.two_transitive
 
 
 Edge = tuple[int, int]  # (u, v) with u < v
@@ -232,7 +222,7 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
                e1_orbit: dict | None) -> Matching | None:
         if len(partial) == m:
             cand = Matching(partial)
-            return cand if _passes(matching_report(g, cand, group), mode) else None
+            return cand if matching_report(g, cand, group).passes(mode) else None
         key = frozenset(partial)
         if key in visited:
             return None
@@ -268,37 +258,34 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
 # transitivity flavors on graphs
 
 
-def is_arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
-    """One orbit on ordered adjacent pairs (vacuous without edges)."""
-    group = _group_or_aut(g, group)
-    edges = g.edges()
-    if not edges:
-        return True
-    return len(orbits(group.generators, [edges[0]], _on_tuple)[0]) == 2 * len(edges)
-
-
-def _2arc_tree(g: Graph, group: PermGroup) -> dict | None:
-    """The Schreier tree (see perms.orbits) of the group's orbit on 2-arcs
-    through the least 2-arc (a, b, c), a != c, or None unless that orbit
-    holds every 2-arc; {} when g has no 2-arc."""
-    start = next(((a, b, c) for a in range(g.n) for b in g.neighbors(a)
-                  for c in g.neighbors(b) if c != a), None)
+def _arc_tree(g: Graph, group: PermGroup, s: int) -> dict | None:
+    """The Schreier tree (see perms.orbits) of the group's orbit on s-arcs
+    (s = 1, 2) through the least s-arc, or None unless that orbit holds
+    every s-arc; {} when g has no s-arc.  A 2-arc (a, b, c) has a != c."""
+    arcs = ((a, b) for a in range(g.n) for b in g.neighbors(a))
+    if s == 2:
+        arcs = ((a, b, c) for a, b in arcs for c in g.neighbors(b) if c != a)
+    start = next(arcs, None)
     if start is None:
         return {}
     (tree,) = orbits(group.generators, [start], _on_tuple)
-    total = sum(g.degree(v) * (g.degree(v) - 1) for v in range(g.n))
+    total = sum(g.degree(v) * (g.degree(v) - 1) ** (s - 1) for v in range(g.n))
     return tree if len(tree) == total else None
+
+
+def is_arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
+    """One orbit on ordered adjacent pairs (vacuous without edges)."""
+    return _arc_tree(g, _group_or_aut(g, group), 1) is not None
 
 
 def is_2arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
     """One orbit on ordered paths (a, b, c) with a != c."""
-    return _2arc_tree(g, _group_or_aut(g, group)) is not None
+    return _arc_tree(g, _group_or_aut(g, group), 2) is not None
 
 
 def _local_image(g: Graph, group: PermGroup, v: int) -> PermGroup:
     stab = group.pointwise_stabilizer((v,))
-    image, _ = induced_action(stab, [(u,) for u in g.neighbors(v)])
-    return image
+    return induced_action(stab, [(u,) for u in g.neighbors(v)])
 
 
 def is_locally_primitive(g: Graph, group: PermGroup | None = None) -> bool:

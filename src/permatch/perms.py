@@ -93,18 +93,6 @@ class Perm:
             inv[x] = i
         return Perm._raw(tuple(inv))
 
-    def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(len(self.images))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
@@ -515,13 +503,11 @@ def is_primitive(group: PermGroup) -> bool:
     return True
 
 
-def induced_action(group: PermGroup, cells: Sequence[Iterable[int]]) -> tuple[PermGroup, int]:
-    """The action of the group on a list of cells it permutes.
-
-    Returns (image group on cell indices, kernel order).  The image group's
-    generators are the distinct non-identity images of the group's
-    generators, in first-seen order.  Raises if some generator fails to map
-    every cell onto a cell.
+def induced_action(group: PermGroup, cells: Sequence[Iterable[int]]) -> PermGroup:
+    """The action of the group on a list of cells it permutes: the image
+    group on cell indices.  Its generators are the distinct non-identity
+    images of the group's generators, in first-seen order.  Raises if some
+    generator fails to map every cell onto a cell.
     """
     cell_sets = [frozenset(c) for c in cells]
     index = {c: i for i, c in enumerate(cell_sets)}
@@ -539,6 +525,4 @@ def induced_action(group: PermGroup, cells: Sequence[Iterable[int]]) -> tuple[Pe
         img = Perm(images)
         if not img.is_identity():
             img_gens[img] = None
-    image = PermGroup(list(img_gens), degree=len(cell_sets))
-    kernel_order = group.order() // image.order()
-    return image, kernel_order
+    return PermGroup(list(img_gens), degree=len(cell_sets))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph, graph6_encode, is_connected
-from .matchings import _2arc_tree, _group_or_aut, check_group_action
+from .matchings import _arc_tree, _group_or_aut, _on_tuple, check_group_action
 from .perms import BlockSystem, PermGroup, _spell, induced_action, orbits
 
 
@@ -66,7 +66,7 @@ def verify_cycle_system(g: Graph, system: CycleSystem) -> bool:
 
 
 def _on_cycle(im: tuple[int, ...], cyc: tuple[int, ...]) -> tuple[int, ...]:
-    return _canonical_cycle(tuple(map(im.__getitem__, cyc)))
+    return _canonical_cycle(_on_tuple(im, cyc))
 
 
 def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> CycleSystem | None:
@@ -83,7 +83,7 @@ def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> Cycl
     group = _group_or_aut(g, group)
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    tree = _2arc_tree(g, group)
+    tree = _arc_tree(g, group, 2)
     if tree is None:
         raise ValueError("group is not 2-arc-transitive on the graph")
     if not tree:

@@ -188,7 +188,7 @@ def test_matching_analyze(tmp_path, capsys):
     path = write_graph(tmp_path, cycle(6))
     code, report, _ = run(capsys, ["matching", "analyze", path,
                                    "--edges", "0-1,2-3,4-5"])
-    assert code == 0
+    assert code == 0 and report["inputs"]["check"] is None
     res = report["result"]
     assert res["is_matching"] and res["is_perfect"]
     assert res["stabilizer_order"] == 6 and res["induced_order"] == 6
@@ -198,12 +198,13 @@ def test_matching_analyze(tmp_path, capsys):
                               "--edges", "0-1,2-3,4-5", "--check", "permutable"])
     assert code == 0
 
+    # the report names the normalized mode that decided its exit code
     path8 = write_graph(tmp_path, cycle(8), "c8.g6")
-    code, report, _ = run(capsys, ["matching", "analyze", path8,
-                                   "--edges", "0-1,2-3,4-5",
-                                   "--check", "permutable"])
-    assert code == 1
-    assert report["result"]["permutable"] is False
+    for check, mode in (("permutable", "permutable"), ("Two_Transitive", "two-transitive")):
+        code, report, _ = run(capsys, ["matching", "analyze", path8,
+                                       "--edges", "0-1,2-3,4-5", "--check", check])
+        assert code == 1 and report["inputs"]["check"] == mode
+        assert report["result"]["permutable"] is False
 
     code, _, err = run(capsys, ["matching", "analyze", path, "--edges", "0-2"])
     assert code == 2 and "error:" in err

@@ -139,6 +139,22 @@ def test_petersen_perfect_matching_is_sharply_2transitive():
     assert rep.stabilizer_order == 20
     assert rep.induced_order == 20
     assert rep.two_transitive and not rep.permutable
+    # every key, in order, and every value of the serialized report
+    assert list(rep.to_json_dict().items()) == [
+        ("matching", "0-5,1-6,2-7,3-8,4-9"),
+        ("m", 5),
+        ("is_matching", True),
+        ("is_perfect", True),
+        ("group_order", 120),
+        ("stabilizer_order", 20),
+        ("induced_order", 20),
+        ("permutable", False),
+        ("two_transitive", True),
+        ("induced_generators", [[0, 4, 3, 2, 1], [1, 2, 3, 4, 0], [2, 1, 0, 4, 3],
+                                [3, 2, 1, 0, 4], [4, 3, 2, 1, 0], [0, 2, 4, 1, 3],
+                                [1, 3, 0, 2, 4], [2, 0, 3, 1, 4], [3, 1, 4, 2, 0],
+                                [4, 1, 3, 0, 2]]),
+    ]
 
 
 def test_hypercube_three_matching():
@@ -356,6 +372,36 @@ def test_arc_transitivity_predicates():
     octa = complement(Graph(6, [(0, 1), (2, 3), (4, 5)]))
     assert is_arc_transitive(octa)
     assert not is_2arc_transitive(octa)
+
+
+def test_arc_transitivity_against_element_closure():
+    # each predicate holds exactly when every element of the group, listed
+    # by closing its generators under products, sends the least s-arc onto
+    # an orbit that is the set of all s-arcs
+    rng = random.Random(2017)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        aut = automorphism_group(g)
+        one = PermGroup(rng.sample(aut.generators, min(1, len(aut.generators))), degree=n)
+        arcs = [(a, b) for a, b in permutations(range(n), 2) if g.has_edge(a, b)]
+        two_arcs = [(a, b, c) for a, b in arcs for c in g.neighbors(b) if c != a]
+        for grp in (aut, one):
+            elements = {tuple(range(n))}
+            frontier = list(elements)
+            while frontier:
+                x = frontier.pop()
+                for p in grp.generators:
+                    y = tuple(p.images[i] for i in x)
+                    if y not in elements:
+                        elements.add(y)
+                        frontier.append(y)
+            assert len(elements) == grp.order()
+            for predicate, s_arcs in ((is_arc_transitive, arcs),
+                                      (is_2arc_transitive, two_arcs)):
+                orbit = {tuple(e[v] for v in min(s_arcs)) for e in elements} \
+                    if s_arcs else set()
+                assert predicate(g, grp) == (orbit == set(s_arcs)), (g.edges(), grp.generators)
 
 
 def test_degree_bound_check():

