@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         inputs, result, code = args.func(args)
         _emit(args.report, inputs, result, started)
         return code
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

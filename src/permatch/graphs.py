@@ -232,11 +232,9 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
-def _odd_graph_subsets(m: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-    """The (m-1)-subsets of {0, ..., 2m-2} as sorted tuples in colexicographic
-    order, and the index of each: the vertex numbering of odd_graph(m)."""
-    subsets = sorted(itertools.combinations(range(2 * m - 1), m - 1), key=lambda s: s[::-1])
-    return subsets, {s: i for i, s in enumerate(subsets)}
+def _colex_rank(key: Sequence[int]) -> int:
+    """The colex rank of a sorted subset s_0 < s_1 < ..., sum of C(s_i, i + 1)."""
+    return sum(math.comb(s, i + 1) for i, s in enumerate(key))
 
 
 def odd_graph(m: int) -> tuple[Graph, list[Perm]]:
@@ -249,22 +247,15 @@ def odd_graph(m: int) -> tuple[Graph, list[Perm]]:
     if m < 2:
         raise ValueError("odd graph needs m >= 2")
     k = 2 * m - 1
-    subsets, index = _odd_graph_subsets(m)
     edges = []
-    for i, s in enumerate(subsets):
-        si = frozenset(s)
-        for j in range(i + 1, len(subsets)):
-            if si.isdisjoint(subsets[j]):
-                edges.append((i, j))
-    g = Graph(len(subsets), edges)
+    # s is adjacent to the m (m-1)-subsets of its complement
+    for s in itertools.combinations(range(k), m - 1):
+        u = _colex_rank(s)
+        rest = [x for x in range(k) if x not in s]
+        edges += ((u, _colex_rank(rest[:i] + rest[i + 1:])) for i in range(m))
+    g = Graph(math.comb(k, m - 1), edges)
     sym_gens = [Perm.from_cycles(k, [(0, 1)]), Perm.from_cycles(k, [tuple(range(k))])]
-    gens = [_subset_action(subsets, index, s) for s in sym_gens]
-    return g, gens
-
-
-def _subset_action(subsets, index, sym_perm: Perm) -> Perm:
-    images = [index[tuple(sorted(sym_perm.images[x] for x in s))] for s in subsets]
-    return Perm(images)
+    return g, [odd_graph_action(m, s) for s in sym_gens]
 
 
 def odd_graph_vertex(m: int, symbols: Iterable[int]) -> int:
@@ -274,41 +265,40 @@ def odd_graph_vertex(m: int, symbols: Iterable[int]) -> int:
     if (len(key) != m - 1 or len(set(key)) != len(key)
             or any(not 0 <= s <= 2 * m - 2 for s in key)):
         raise ValueError("not an (m-1)-subset: %r" % (key,))
-    return sum(math.comb(s, i + 1) for i, s in enumerate(key))
+    return _colex_rank(key)
 
 
 def odd_graph_action(m: int, sym_perm: Perm) -> Perm:
     """The vertex permutation of odd_graph(m) induced by a permutation of
     the 2m-1 symbols."""
-    if sym_perm.degree != 2 * m - 1:
+    k = 2 * m - 1
+    if sym_perm.degree != k:
         raise ValueError("symbol permutation must have degree 2m-1")
-    return _subset_action(*_odd_graph_subsets(m), sym_perm)
+    im = sym_perm.images
+    images = [0] * math.comb(k, m - 1)
+    for s in itertools.combinations(range(k), m - 1):
+        images[_colex_rank(s)] = _colex_rank(sorted(im[x] for x in s))
+    return Perm(images)
 
 
 def hypercube(m: int) -> Graph:
     if m < 1:
         raise ValueError("hypercube needs m >= 1")
     n = 1 << m
-    edges = [(x, x ^ (1 << b)) for x in range(n) for b in range(m) if x < x ^ (1 << b)]
-    return Graph(n, edges)
+    return Graph(n, ((x, x ^ (1 << b)) for x in range(n) for b in range(m)))
 
 
 def folded_hypercube(m: int) -> Graph:
     """The m-dimensional hypercube with antipodal vertices identified.
 
-    Representatives are the 2^(m-1) vertices with top bit clear; classes are
-    adjacent when the XOR of representatives has weight 1 or m-1.
+    Representatives are the 2^(m-1) vertices with top bit clear; x ~ x ^ f for
+    each single bit f < 2^(m-1) and for f = 2^(m-1) - 1, x's top bit flipped.
     """
     if m < 2:
         raise ValueError("folded hypercube needs m >= 2")
     n = 1 << (m - 1)
-    edges = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            w = (x ^ y).bit_count()
-            if w == 1 or w == m - 1:
-                edges.append((x, y))
-    return Graph(n, edges)
+    flips = [1 << b for b in range(m - 1)] + [n - 1]
+    return Graph(n, ((x, x ^ f) for x in range(n) for f in flips))
 
 
 # Miller-Rabin to the first 13 prime bases is exact below _PRIME_LIMIT; the
@@ -368,13 +358,16 @@ def paley_incidence_cliques(q: int) -> Graph:
 # binary constructions
 
 
+def _union(g1: Graph, g2: Graph, cross: list[tuple[int, int]]) -> Graph:
+    """The disjoint union, g2 shifted past g1, plus the cross edges."""
+    n1 = g1.n
+    return Graph(n1 + g2.n, g1.edges() + [(n1 + u, n1 + v) for u, v in g2.edges()] + cross)
+
+
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides; g1 comes first."""
     n1 = g1.n
-    edges = list(g1.edges())
-    edges += [(n1 + u, n1 + v) for u, v in g2.edges()]
-    edges += [(u, n1 + v) for u in range(n1) for v in range(g2.n)]
-    return Graph(n1 + g2.n, edges)
+    return _union(g1, g2, [(u, n1 + v) for u in range(n1) for v in range(g2.n)])
 
 
 def matching_join(g1: Graph, g2: Graph, phi: Sequence[int]) -> Graph:
@@ -385,10 +378,7 @@ def matching_join(g1: Graph, g2: Graph, phi: Sequence[int]) -> Graph:
     n1 = g1.n
     if g2.n != n1 or sorted(phi) != list(range(n1)):
         raise ValueError("phi must be a bijection between equal vertex sets")
-    edges = list(g1.edges())
-    edges += [(n1 + u, n1 + v) for u, v in g2.edges()]
-    edges += [(i, n1 + phi[i]) for i in range(n1)]
-    return Graph(2 * n1, edges)
+    return _union(g1, g2, [(i, n1 + phi[i]) for i in range(n1)])
 
 
 def composition(g: Graph, m: int) -> Graph:
@@ -462,16 +452,22 @@ def complement(g: Graph) -> Graph:
     return Graph._raw(g.n, rows)
 
 
+def _bfs_arcs(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The arcs (parent, child) of the breadth-first tree from vertex 0,
+    neighbors taken in increasing order; it spans iff it has n - 1 arcs."""
+    unseen = (1 << len(rows)) - 2
+    arcs = []
+    order = [0]
+    for u in order:
+        for v in _bits(rows[u] & unseen):
+            unseen ^= 1 << v
+            arcs.append((u, v))
+            order.append(v)
+    return arcs
+
+
 def is_connected(g: Graph) -> bool:
-    rows = g.rows
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(_bfs_arcs(g.rows)) == g.n - 1
 
 
 def degree_sequence(g: Graph) -> list[int]:

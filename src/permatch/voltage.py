@@ -19,10 +19,9 @@ with a = 1, M = I and every shift e_i.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Iterable, Sequence
 
-from .graphs import Graph, Matching, _bits, _is_prime, is_connected, validate_matching
+from .graphs import Graph, Matching, _bfs_arcs, _is_prime, is_connected, validate_matching
 from .matchings import check_group_action
 from .perms import Perm, PermGroup, _find, _schreier_sims
 from .polygonal import CycleSystem
@@ -54,9 +53,8 @@ def spanning_tree(g: Graph, required_edges: Iterable[tuple[int, int]] = ()) -> f
         members.setdefault(_find(parent, v), []).append(v)
 
     visited = {_find(parent, 0)}
-    queue = deque(members[_find(parent, 0)])
-    while queue:
-        u = queue.popleft()
+    queue = list(members[_find(parent, 0)])
+    for u in queue:
         for v in g.neighbors(u):
             rv = _find(parent, v)
             if rv not in visited:
@@ -136,23 +134,10 @@ class VoltageAssignment:
         self.tree = tree_set
         self.cotree = tuple(cotree)
         self._arc = arc
-        self._tree_arcs = self._bfs_tree_arcs()
-
-    def _bfs_tree_arcs(self) -> tuple[tuple[int, int], ...]:
-        """The tree arcs (parent, child) in breadth-first order from the
-        root, vertex 0, with ascending neighbor order."""
-        rows = Graph(self.base.n, self.tree).rows
-        seen = 1
-        arcs = []
-        order = [0]
-        for u in order:
-            for v in _bits(rows[u] & ~seen):
-                seen |= 1 << v
-                arcs.append((u, v))
-                order.append(v)
-        if len(order) != self.base.n:
+        # the tree arcs (parent, child) in breadth-first order from vertex 0
+        self._tree_arcs = _bfs_arcs(Graph(base.n, tree_set).rows)
+        if len(self._tree_arcs) != base.n - 1:
             raise ValueError("tree does not span the graph")
-        return tuple(arcs)
 
     def voltage(self, u: int, v: int) -> tuple[int, ...]:
         vec = self._arc.get((u, v))

@@ -434,6 +434,18 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+def test_internal_key_error_exits_3(tmp_path, capsys, monkeypatch):
+    # no input reaches a KeyError, so one raised inside a command is a bug
+    def boom(*args, **kwargs):
+        raise KeyError(5)
+
+    monkeypatch.setattr("permatch.cli.automorphism_group", boom)
+    path = write_graph(tmp_path, cycle(6))
+    code, report, err = run(capsys, ["aut", path])
+    assert code == 3 and report is None
+    assert err == "error: internal: KeyError: 5\n"
+
+
 def test_arcs_command(tmp_path, capsys):
     path = write_graph(tmp_path, petersen())
     code, report, _ = run(capsys, ["arcs", path])

@@ -245,6 +245,22 @@ def test_hypercube_and_folded():
     assert fq5.n == 16 and degree_sequence(fq5) == [5] * 16
 
 
+def test_families_against_independent_definitions():
+    # O_m is networkx's Kneser graph K(2m-1, m-1) under the colex numbering
+    for m in range(2, 7):
+        kneser = nx.kneser_graph(2 * m - 1, m - 1)
+        expected = sorted(tuple(sorted((odd_graph_vertex(m, s), odd_graph_vertex(m, t))))
+                          for s, t in kneser.edges())
+        assert odd_graph(m)[0].edges() == expected
+    # FQ_m is Q_m with x and its antipode x ^ (2^m - 1) identified, each
+    # class named by its member with the top bit clear
+    for m in range(2, 11):
+        top, full = 1 << (m - 1), (1 << m) - 1
+        cls = [x if x < top else x ^ full for x in range(1 << m)]
+        expected = sorted({tuple(sorted((cls[u], cls[v]))) for u, v in hypercube(m).edges()})
+        assert folded_hypercube(m).edges() == expected
+
+
 def test_odd_graph():
     g, gens = odd_graph(3)
     assert g.n == 10

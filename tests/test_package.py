@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
@@ -57,3 +58,46 @@ def test_readme_library_tour():
     assert len(shown) == 6
     for code, value, note in shown:
         assert value == note, code
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names read, attributes taken and names imported anywhere in tree."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def test_every_private_helper_is_used():
+    # each single-underscore module-level name and method in src/ is referenced
+    # somewhere in src/ outside its own definition
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "permatch").glob("*.py"))}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    found = []
+    for module, tree in trees.items():
+        nodes = list(tree.body)
+        nodes += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, defs)]
+        for node in nodes:
+            if isinstance(node, defs):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    found.append(name)
+                    own = _references(node)[name] if isinstance(node, defs) else 0
+                    assert total[name] > own, (module, name)
+    assert "_bits" in found and "_raw" in found
