@@ -4,8 +4,9 @@ Permutations act on the right: x^(g*h) == (x^g)^h.  Groups carry a
 deterministic base and strong generating set, which makes orders,
 membership tests and stabilizers exact and reproducible.  A chain stores
 Schreier trees, not coset representatives (Sims 1971; Seress 2003, section
-4.1).  It comes from the one Schreier-Sims (PermGroup; rebase and
-voltage.lift_group stop it at a known order), or is read off a search:
+4.1).  It comes from the one Schreier-Sims (PermGroup; voltage.lift_group
+stops it at a known order), from conjugating another chain (rebase, which
+runs Schreier-Sims where conjugation stops), or is read off a search:
 subgroup_search, the one backtrack over a chain, or automorphism_group.
 Every tree is grown by the one orbit walk, orbits.  Orders are Python ints.
 """
@@ -191,10 +192,10 @@ def orbits(gens: Sequence[Perm], seeds: Iterable, act: Callable = operator.getit
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point, the strong generators
-    filed here or deeper (they fix the earlier base points) with their
-    inverse images, and the Schreier tree (see orbits) of the basic orbit
-    under them."""
+    """One level of a stabilizer chain: a base point, generators of the
+    subgroup fixing the earlier base points (the strong generators filed
+    here or deeper, or their conjugates) with their inverse images, and the
+    Schreier tree (see orbits) of the basic orbit under them."""
 
     __slots__ = ("point", "gens", "invs", "tree", "_done")
 
@@ -251,17 +252,19 @@ def _grow(lvl: _Level) -> None:
         lvl.tree.setdefault(y, link)
 
 
-def _schreier_residue(levels: list[_Level], j: int) -> tuple[Perm | None, int]:
+def _schreier_residue(levels: list[_Level], j: int, n0: int) -> tuple[Perm | None, int]:
     """Sift the Schreier generators u_d * g * u_{d^g}^-1 of levels j, j-1,
     ..., 0 not sifted before; return the first residue that is not the
-    identity with the level where it stuck, or (None, -1)."""
+    identity with the level where it stuck, or (None, -1).  At level 0, g
+    is one of the first n0 generators: they generate the group, which is
+    all Schreier's lemma asks of g (Seress 2003, section 4.2)."""
     for i in range(j, -1, -1):
         lvl = levels[i]
         tree = lvl.tree
         ims = [g.images for g in lvl.gens]
         for d in tree:
             u = None
-            for k, im in enumerate(ims):
+            for k, im in enumerate(ims if i else ims[:n0]):
                 if (d, k) in lvl._done or tree[im[d]] == (d, k):
                     continue  # sifted before, or u_d * g is u_{d^g}
                 lvl._done.add((d, k))
@@ -285,12 +288,14 @@ def _schreier_sims(levels: list[_Level], gens: Iterable[Perm],
         residue, j = _sift(levels, g)
         if not residue.is_identity() and _file(levels, residue, j, order):
             return levels
-    # a residue stuck at level j leaves every level deeper than j complete
-    residue, j = _schreier_residue(levels, len(levels) - 1)
+    # the residues filed so far generate <gens>, and a residue stuck at
+    # level j leaves every level deeper than j complete
+    n0 = len(levels[0].gens) if levels else 0
+    residue, j = _schreier_residue(levels, len(levels) - 1, n0)
     while residue is not None:
         if _file(levels, residue, j, order):
             return levels
-        residue, j = _schreier_residue(levels, j)
+        residue, j = _schreier_residue(levels, j, n0)
     return levels
 
 
@@ -349,7 +354,8 @@ class PermGroup:
 
     @property
     def strong_generators(self) -> tuple[Perm, ...]:
-        return tuple(dict.fromkeys(self._levels[0].gens)) if self._levels else ()
+        """The distinct generators of all levels, in level order."""
+        return tuple(dict.fromkeys(g for lvl in self._levels for g in lvl.gens))
 
     def basic_orbits(self) -> list[tuple[int, ...]]:
         return [tuple(sorted(lvl.tree)) for lvl in self._levels]
@@ -361,12 +367,57 @@ class PermGroup:
         return p.degree == self.degree and _sift(self._levels, p)[0].is_identity()
 
     def rebase(self, base_hint: Sequence[int]) -> "PermGroup":
-        """The same group and generators, with a base starting with base_hint:
-        Schreier-Sims on the strong generators, stopped at this order."""
+        """The same group and generators, with a base starting with base_hint.
+
+        Base change by conjugation (Seress 2003, section 5.4).  With L the
+        next level of this chain and c the conjugator built so far, a hint
+        point h = x^c keeps L, relabeled by c, if x is L's base point, or
+        after c takes on the coset representative of x if x is in L's basic
+        orbit; an x that L's generators fix gets a trivial level.  At any
+        other point Schreier-Sims builds the rest of the chain from L's
+        generators conjugated by c.  This chain is left as it was.
+        """
         if any(not (0 <= b < self.degree) for b in base_hint):
             raise ValueError("base hint point out of range")
-        levels = _schreier_sims([_Level(b) for b in base_hint], self.strong_generators,
-                                self.order())
+        source, levels, s = self._levels, [], 0  # source[s] is L
+        ident = c = cinv = tuple(range(self.degree))
+        conj: dict[int, tuple[int, ...]] = {}  # id(t) -> images of c^-1 * t * c
+
+        def conjugate(t: tuple[int, ...]) -> tuple[int, ...]:
+            if id(t) not in conj:
+                conj[id(t)] = tuple(map(c.__getitem__, map(t.__getitem__, cinv)))
+            return conj[id(t)]
+
+        def relabeled(lvl: _Level) -> _Level:
+            if c is ident:
+                return lvl  # a level is never changed once its chain is built
+            new = _Level(c[lvl.point])
+            new.gens = [Perm._raw(conjugate(g.images)) for g in lvl.gens]
+            new.invs = list(map(conjugate, lvl.invs))
+            new.tree = {c[y]: link and (c[link[0]], link[1]) for y, link in lvl.tree.items()}
+            return new
+
+        for i, h in enumerate(base_hint):
+            x = cinv[h]
+            lvl = source[s] if s < len(source) else _Level(x)  # past the chain: trivial
+            if x in lvl.tree:
+                if x != lvl.point:
+                    c = _spell(lvl.tree, [g.images for g in lvl.gens], x, c)
+                    cinv = Perm._raw(c).inverse().images
+                    conj.clear()
+                levels.append(relabeled(lvl))
+                s += 1
+            elif all(g.images[x] == x for g in lvl.gens):
+                kept = relabeled(lvl)
+                levels.append(_Level(h))
+                levels[-1].gens, levels[-1].invs = kept.gens, kept.invs
+            else:
+                order = math.prod(len(rest.tree) for rest in source[s:])
+                levels += _schreier_sims([_Level(b) for b in base_hint[i:]], relabeled(lvl).gens,
+                                         order)
+                break
+        else:
+            levels += map(relabeled, source[s:])
         return PermGroup._from_chain(self.generators, self.degree, levels)
 
     def orbit(self, point: int) -> tuple[int, ...]:

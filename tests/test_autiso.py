@@ -49,6 +49,7 @@ from permatch import (
 )
 from permatch.autiso import _Partition, _search_graph
 from refine_oracle import is_equitable, refine
+from test_perms import assert_strong_generating_set
 
 
 def random_graph(rng, n, p):
@@ -197,6 +198,12 @@ def test_read_off_chain_order_matches_schreier_sims(g):
     h = relabel(g, random_perm(random.Random(g.n), g.n))
     grp = automorphism_group(h)
     assert grp.order() == PermGroup(grp.generators, degree=g.n).order()
+    assert_strong_generating_set(grp)
+    hint = random.Random(g.n).sample(range(g.n), 4)
+    rebased = grp.rebase(hint)
+    assert rebased.order() == grp.order()
+    assert_strong_generating_set(rebased)
+    assert_strong_generating_set(rebased.rebase(hint[::-1]))
 
 
 def shrikhande():

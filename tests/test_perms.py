@@ -18,16 +18,26 @@ from permatch import (
     Matching,
     Perm,
     PermGroup,
+    automorphism_group,
     complete,
+    cycle_system_matching,
+    derived_cover,
+    hypercube,
     induced_action,
     is_2transitive,
     is_primitive,
     is_transitive,
+    lift_group,
     matching_stabilizer,
     minimal_block,
+    near_polygonal_certificate,
+    odd_graph,
     orbits,
+    spanning_tree,
+    standard_assignment,
     subgroup_search,
 )
+from permatch import perms
 
 
 def brute_closure(gens):
@@ -59,6 +69,30 @@ def random_group(rng, degree, n_gens):
 
 def sym_gens(n):
     return [Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))])]
+
+
+def random_word(rng, gens, length=20):
+    """A product of length generators drawn at random."""
+    p = Perm.identity(gens[0].degree)
+    for _ in range(length):
+        p = p * rng.choice(gens)
+    return p
+
+
+def assert_strong_generating_set(group):
+    """For each level i, the strong generators fixing base[:i] carry base[i]
+    onto the whole basic orbit and no further."""
+    base, strong = group.base, group.strong_generators
+    for i, orbit in enumerate(group.basic_orbits()):
+        fixing = [s for s in strong if all(s.images[b] == b for b in base[:i])]
+        assert tuple(sorted(orbits(fixing, [base[i]])[0])) == orbit, i
+
+
+def star_cover(g, p):
+    """The Z_p-homology cover of g, its star matching and its lifted group."""
+    cover = derived_cover(standard_assignment(g, p, spanning_tree(g)))
+    matching = cycle_system_matching(cover, 0, near_polygonal_certificate(g))
+    return cover, matching, lift_group(cover, automorphism_group(g))
 
 
 def test_perm_algebra():
@@ -147,6 +181,42 @@ def test_known_group_orders():
     assert PermGroup([rot, flip]).order() == 14
     a4 = PermGroup([Perm.from_cycles(4, [(0, 1, 2)]), Perm.from_cycles(4, [(1, 2, 3)])])
     assert a4.order() == 12
+
+
+def mathieu_gens():
+    """M_11 from (1 ... 11) and (3 7 11 8)(4 10 5 6), and M_12 with
+    (1 12)(2 11)(3 6)(4 8)(5 9)(7 10) added, in 1-based cycles."""
+    def perm(n, cycles):
+        return Perm.from_cycles(n, [[x - 1 for x in c] for c in cycles])
+
+    m11 = [perm(11, [range(1, 12)]), perm(11, [(3, 7, 11, 8), (4, 10, 5, 6)])]
+    m12 = [perm(12, [range(1, 12)]), perm(12, [(3, 7, 11, 8), (4, 10, 5, 6)]),
+           perm(12, [(1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10)])]
+    return m11, m12
+
+
+@pytest.mark.parametrize("case", ["M11", "M12", "O3", "O4", "O5", "O6"])
+def test_known_orders_at_scale(case):
+    """Orders where a skipped Schreier generator would show: the Mathieu
+    groups, and S_{2m-1} on the (m-1)-subsets (the odd graph O_m)."""
+    m11, m12 = mathieu_gens()
+    if case == "M11":
+        gens, order = m11, 7920
+    elif case == "M12":
+        gens, order = m12, 95040
+    else:
+        m = int(case[1:])
+        gens, order = odd_graph(m)[1], math.factorial(2 * m - 1)
+    group = PermGroup(gens)
+    assert group.order() == order
+    assert_strong_generating_set(group)
+    rng = random.Random(case)
+    assert all(random_word(rng, gens) in group for _ in range(50))
+    # no element moves exactly two points: the Mathieu groups are even, and a
+    # symbol permutation other than the identity moves at least six subsets
+    for g in gens:
+        a, b = rng.sample(range(g.degree), 2)
+        assert g * Perm.from_cycles(g.degree, [(a, b)]) not in group
 
 
 def test_strong_generators_consistent():
@@ -389,6 +459,61 @@ def test_rebase_properties(case):
     for images in permutations(range(n)):
         assert (Perm(images) in rebased) == (images in closure)
     assert rebased.strong_generators == group.rebase(hint).strong_generators
+    assert_strong_generating_set(rebased)
+    twice = rebased.rebase(hint[::-1])
+    assert twice.order() == group.order()
+    assert twice.base[:len(hint)] == tuple(hint[::-1])
+    assert_strong_generating_set(twice)
+    for images in permutations(range(n)):
+        assert (Perm(images) in twice) == (images in closure)
+
+
+@pytest.mark.parametrize("base, p", [(hypercube(3), 3), (complete(4), 5)], ids=["Q3p3", "K4p5"])
+def test_rebase_on_covers_and_read_off_chains(base, p):
+    """rebase of a lifted group and of the read-off chain of the cover's
+    automorphism group, onto the star matching's vertices and onto random
+    hints, keeps the group and leaves the source chain as it was."""
+    cover, matching, lifted = star_cover(base, p)
+    n = cover.graph.n
+    rng = random.Random(n)
+    hints = [matching.vertices()] + [rng.sample(range(n), rng.randrange(1, 9)) for _ in range(10)]
+    for group in (lifted, automorphism_group(cover.graph)):
+        assert group.order() == lifted.order()
+        members = [random_word(rng, group.generators) for _ in range(50)]
+        others = [g * Perm.from_cycles(n, [rng.sample(range(n), 2)]) for g in members]
+        assert not any(g in group for g in others)  # covers have no twin vertices
+        source_base, source_orbits = group.base, group.basic_orbits()
+        for hint in hints:
+            rebased = group.rebase(hint)
+            assert rebased.order() == group.order()
+            assert rebased.generators == group.generators
+            assert rebased.base[:len(hint)] == tuple(hint)
+            assert_strong_generating_set(rebased)
+            k = 50 if hint is hints[0] else 10  # sifts through deep trees cost ms here
+            assert all(g in rebased for g in members[:k])
+            assert not any(g in rebased for g in others[:k])
+            assert group.base == source_base and group.basic_orbits() == source_orbits
+
+
+def test_schreier_sims_work_bounds(monkeypatch):
+    """Sift counts that Schreier's lemma at level 0 and rebase by conjugation
+    keep low: sifting every Schreier generator of level 0 takes 1,511 sifts
+    to build S_9 on O_5, and rebuilding the Q_3 p = 3 cover's chain on the
+    star vertices by Schreier-Sims takes 114."""
+    sifts = []
+    sift = perms._sift
+
+    def counted(*args):
+        sifts.append(1)
+        return sift(*args)
+
+    _, matching, lifted = star_cover(hypercube(3), 3)
+    monkeypatch.setattr(perms, "_sift", counted)
+    assert PermGroup(odd_graph(5)[1]).order() == math.factorial(9)
+    assert len(sifts) <= 450
+    sifts.clear()
+    assert lifted.rebase(matching.vertices()).order() == lifted.order()
+    assert len(sifts) <= 10
 
 
 @st.composite
@@ -419,7 +544,11 @@ def test_subgroup_search_chain_properties(case):
     for images in permutations(range(n)):
         assert (Perm(images) in stab) == (images in expect)
     assert stab.order() == math.prod(len(o) for o in stab.basic_orbits()) == len(expect)
-    assert stab.rebase(hint).order() == stab.order()
+    assert_strong_generating_set(stab)
+    rebased = stab.rebase(hint)
+    assert rebased.order() == stab.order()
+    assert_strong_generating_set(rebased)
+    assert_strong_generating_set(rebased.rebase(hint[::-1]))
 
 
 def test_block_system_type():
