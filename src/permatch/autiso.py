@@ -19,22 +19,23 @@ relabels the whole search tree.
 
 The search is a loop over a stack of nodes, so Python's recursion limit
 does not bound its depth.  A node's children individualize each vertex of
-its first non-singleton cell.  A leaf is a discrete partition, read as a
-labeling; its key is the relabeled graph's adjacency rows as a tuple, and
-the canonical form is the leaf with the least key.  A leaf whose key equals
-the first leaf's gives an automorphism, and the search jumps back to the
-node where it left the first path: the subtree it abandons is that
-automorphism's image of the first path's fully explored subtree, so the set
-of leaf keys, and the canonical form, is unchanged.
+its first non-singleton cell: the first at once, the rest from a generator
+that the loop resumes after each undo to the node.  A leaf is a discrete
+partition, read as a labeling; its key is the relabeled graph's adjacency
+rows as a tuple, and the canonical form is the leaf with the least key.  A
+leaf whose key equals the first leaf's gives an automorphism, and the
+search jumps back to the node where it left the first path: the subtree it
+abandons is that automorphism's image of the first path's fully explored
+subtree, so the set of leaf keys, and the canonical form, is unchanged.
 
-A node skips a child in the orbit of an explored sibling under
-automorphisms found that fix the node's prefix.  Every automorphism found
-so far fixes the prefix of each open first-path node, so those nodes read
-orbits off one union-find, merged as each automorphism arrives.  Any other
-node takes the orbits (perms.orbits) of the automorphisms that fix its
-prefix; it meets no new one, since an automorphism found below it jumps
-back above it.  Each automorphism found joins two orbits of those found
-before it, so there are at most n - 1.
+A node skips a child in the orbit of an explored sibling under the
+automorphisms found that fix the node's prefix, and reads those orbits off
+one union-find.  Every automorphism found so far fixes the prefix of each
+open first-path node, so those nodes share one, merged as each automorphism
+arrives.  Any other node builds its own from the automorphisms that fix its
+prefix, once, when its second child is due; it meets no new one, since an
+automorphism found below it jumps back above it.  Each automorphism found
+joins two orbits of those found before it, so there are at most n - 1.
 
 The automorphisms found are a strong generating set relative to the first
 path (McKay 1981), so automorphism_group reads its chain off the search:
@@ -47,11 +48,12 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
 from .graphs import Graph, _bits, degree_sequence, graph6_encode
-from .perms import Perm, PermGroup, _find, orbits
+from .perms import Perm, PermGroup, _find
 
 
 class _Partition:
@@ -157,21 +159,10 @@ class _Partition:
                 waiting.update(new)
 
 
-class _Node:
-    """A search node: its target cell, the trail length after its
-    refinement, and its children so far."""
-
-    __slots__ = ("cell", "mark", "first_path", "child", "rest", "explored", "pruned", "fixers")
-
-    def __init__(self, cell: int, mark: int, first_path: bool):
-        self.cell = cell
-        self.mark = mark
-        self.first_path = first_path
-        self.child: int | None = None  # the child explored last
-        self.rest = None  # an iterator over the target cell, from the second child on
-        self.explored: list[int] = []
-        self.pruned: set[int] = set()  # off the first path: orbits of explored children
-        self.fixers: list[Perm] | None = None
+def _merge(orbit: list[int], a: Perm) -> None:
+    """Join the orbits of a in the union-find orbit."""
+    for x, y in enumerate(a.images):
+        orbit[_find(orbit, x)] = _find(orbit, y)
 
 
 class _Search:
@@ -187,7 +178,7 @@ class _Search:
         n = self.g.n
         part = _Partition(self.g)
         part.refine([0])
-        nodes: list[_Node] = []  # nodes[i] has the prefix prefix[:i]
+        nodes: list[tuple[int, int, Iterator[int]]] = []  # nodes[i] has the prefix prefix[:i]
         prefix: list[int] = []
         cell = 0
         while True:
@@ -195,45 +186,45 @@ class _Search:
             while cell < n and part.size[cell] == 1:
                 cell += 1
             if cell < n:
-                nodes.append(_Node(cell, len(part.trail), self.first is None))
-                depth = len(prefix)
+                v = part.perm[cell]
+                nodes.append((cell, len(part.trail), self._children(cell, part, prefix, v)))
             else:
+                # resume the node the leaf names, or the nearest ancestor with a child left
                 depth = min(self._leaf(part.cell_of, prefix), len(prefix) - 1)
-            # resume the node at depth, or the nearest ancestor with a child left
-            while True:
-                if depth < 0:
+                for depth in range(depth, -1, -1):
+                    cell, mark, children = nodes[depth]
+                    del nodes[depth + 1:], prefix[depth:]
+                    part.undo(mark)
+                    v = next(children, None)
+                    if v is not None:
+                        break
+                else:
                     return
-                node = nodes[depth]
-                del nodes[depth + 1:], prefix[depth:]
-                part.undo(node.mark)
-                v = self._next_child(node, part, prefix)
-                if v is not None:
-                    break
-                depth -= 1
             prefix.append(v)
-            cell = node.cell
             part.refine([part.individualize(v)])
 
-    def _next_child(self, node: _Node, part: _Partition, prefix: list[int]) -> int | None:
-        """The node's next child not in the orbit of an explored one, or None."""
-        if node.child is None:
-            node.child = part.perm[node.cell]
-            return node.child
-        u = node.child
-        node.explored.append(u)
-        if node.rest is None:
-            node.rest = iter(part.perm[node.cell:node.cell + part.size[node.cell]])
-        if node.first_path:
+    def _children(self, cell: int, part: _Partition, prefix: list[int], first: int) -> Iterator[int]:
+        """The children of the node whose target is cell after its first:
+        each time the loop resumes it (part undone and prefix cut back to
+        the node's), the next vertex of the cell whose orbit holds no
+        explored child.  It first runs at the second child, so dropping a
+        node that never got there is free."""
+        if tuple(prefix) == self.path[:len(prefix)]:  # every automorphism found fixes it
             orbit = self._orbit
-            roots = {_find(orbit, x) for x in node.explored}
-            node.child = next((v for v in node.rest if _find(orbit, v) not in roots), None)
         else:
-            if node.fixers is None:
-                node.fixers = [a for a in self.autos if all(a.images[p] == p for p in prefix)]
-            if u not in node.pruned:
-                node.pruned.update(orbits(node.fixers, [u])[0])
-            node.child = next((v for v in node.rest if v not in node.pruned), None)
-        return node.child
+            orbit = list(range(self.g.n))
+            for a in self.autos:
+                if all(a.images[p] == p for p in prefix):
+                    _merge(orbit, a)
+        explored = [first]
+        rest = iter(part.perm[cell:cell + part.size[cell]])
+        while True:
+            roots = {_find(orbit, u) for u in explored}
+            v = next((v for v in rest if _find(orbit, v) not in roots), None)
+            if v is None:
+                return
+            explored.append(v)
+            yield v
 
     def _leaf(self, lab: list[int], prefix: list[int]) -> int:
         """Record the leaf whose labeling (vertex -> position) is lab; return
@@ -247,9 +238,7 @@ class _Search:
             # path's subtree below the divergence onto the one holding this leaf
             a = self.first[1] * labeling.inverse()
             self.autos.append(a)
-            orbit = self._orbit
-            for x, y in enumerate(a.images):
-                orbit[_find(orbit, x)] = _find(orbit, y)
+            _merge(self._orbit, a)
             return next(i for i, (x, y) in enumerate(zip(prefix, self.path)) if x != y)
         elif rows < self.best[0]:
             self.best = (rows, labeling)

@@ -47,7 +47,7 @@ from permatch import (
     spanning_tree,
     standard_assignment,
 )
-from permatch.autiso import _Partition, _search_graph
+from permatch.autiso import _Partition, _Search, _search_graph
 from refine_oracle import is_equitable, refine
 from test_perms import assert_strong_generating_set
 
@@ -321,6 +321,33 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert grp.order() == math.factorial(120)
+
+
+def _cycle_and_triangles(k):
+    """C_3k on 0..3k-1, then k triangles."""
+    n = 3 * k
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(t + a, t + b) for t in range(n, 2 * n, 3) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return Graph(2 * n, edges)
+
+
+@pytest.mark.parametrize("k, order, bound", [(2, 864, 150), (3, 23_328, 2_000)])
+def test_off_path_nodes_prune_their_children(monkeypatch, k, order, bound):
+    # nodes off the first path reach their second child here, so the leaf
+    # count stays small only if they skip children in the orbit of an
+    # explored one (without that: 296 and 7,785 leaves)
+    leaves = 0
+    leaf = _Search._leaf
+
+    def counted(self, lab, prefix):
+        nonlocal leaves
+        leaves += 1
+        return leaf(self, lab, prefix)
+
+    monkeypatch.setattr(_Search, "_leaf", counted)
+    _search_graph.cache_clear()
+    assert automorphism_group(_cycle_and_triangles(k)).order() == order
+    assert leaves <= bound
 
 
 def _cover(g, p):

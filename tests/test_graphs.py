@@ -100,6 +100,7 @@ def test_graph6_known_strings():
     assert graph6_encode(complete(4)) == "C~"
     assert graph6_encode(empty_graph(1)) == "@"
     assert graph6_decode("C~").edges() == complete(4).edges()
+    assert graph6_decode(">>graph6<<C~").edges() == complete(4).edges()
 
 
 def test_graph6_rejects_malformed():
@@ -107,6 +108,12 @@ def test_graph6_rejects_malformed():
         graph6_decode("C")  # truncated edge bits
     with pytest.raises(ValueError):
         graph6_decode("C~\x05")
+    with pytest.raises(ValueError, match="empty graph6 string"):
+        graph6_decode("")
+    with pytest.raises(ValueError, match="malformed graph6 header"):
+        graph6_decode("~??")
+    with pytest.raises(ValueError, match="graph6 with no vertices"):
+        graph6_decode("?")
 
 
 def test_family_counts():

@@ -27,6 +27,7 @@ from permatch import (
     complement,
     complete,
     complete_bipartite,
+    composition,
     cycle,
     degree_bound_check,
     find_matching,
@@ -372,6 +373,14 @@ def test_arc_transitivity_predicates():
     octa = complement(Graph(6, [(0, 1), (2, 3), (4, 5)]))
     assert is_arc_transitive(octa)
     assert not is_2arc_transitive(octa)
+
+    # C_5[2K_1]: arc-transitive, but each local action (order 8) has blocks
+    lex = composition(cycle(5), 2)
+    assert is_arc_transitive(lex) and automorphism_group(lex).order() == 320
+    assert not is_locally_primitive(lex)
+    assert not is_locally_symmetric(lex)
+    assert not is_locally_primitive(prism3())  # the local action is intransitive
+    assert not is_locally_symmetric(path_graph(3))  # not vertex-transitive
 
 
 def test_arc_transitivity_against_element_closure():

@@ -38,24 +38,7 @@ from permatch import (
     subgroup_search,
 )
 from permatch import perms
-
-
-def brute_closure(gens):
-    """Every element of <gens> as an image tuple, by breadth-first products."""
-    n = gens[0].degree
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                u = tuple(g.images[x] for x in t)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
+from closure_oracle import brute_closure
 
 
 def random_group(rng, degree, n_gens):
@@ -147,7 +130,7 @@ def test_order_and_membership_match_brute_closure():
 
     def check(gens):
         degree = gens[0].degree
-        elements = brute_closure(gens)
+        elements = brute_closure(gens, degree)
         group = PermGroup(gens)
         assert group.order() == len(elements), gens
         for t in rng.sample(sorted(elements), min(20, len(elements))):
@@ -222,7 +205,7 @@ def test_known_orders_at_scale(case):
 def test_strong_generators_consistent():
     gens = sym_gens(5)
     group = PermGroup(gens)
-    elements = brute_closure(gens)
+    elements = brute_closure(gens, 5)
     for s in group.strong_generators:
         assert s.images in elements
     prod = 1
@@ -236,7 +219,7 @@ def test_stabilizers_match_brute_filter():
     for _ in range(12):
         degree = rng.randrange(4, 8)
         gens = random_group(rng, degree, 2)
-        elements = brute_closure(gens)
+        elements = brute_closure(gens, degree)
         group = PermGroup(gens)
 
         pt = rng.randrange(degree)
@@ -455,7 +438,7 @@ def test_rebase_properties(case):
     assert rebased.base[:len(hint)] == tuple(hint)
     assert rebased.generators == group.generators
     assert math.prod(len(o) for o in rebased.basic_orbits()) == rebased.order()
-    closure = brute_closure(gens)
+    closure = brute_closure(gens, n)
     for images in permutations(range(n)):
         assert (Perm(images) in rebased) == (images in closure)
     assert rebased.strong_generators == group.rebase(hint).strong_generators
@@ -540,7 +523,7 @@ def test_subgroup_search_chain_properties(case):
 
     stab = subgroup_search(group, lambda p: all(p.images[x] in subset for x in subset),
                            prune=keep)
-    expect = {t for t in brute_closure(gens) if all(t[x] in subset for x in subset)}
+    expect = {t for t in brute_closure(gens, n) if all(t[x] in subset for x in subset)}
     for images in permutations(range(n)):
         assert (Perm(images) in stab) == (images in expect)
     assert stab.order() == math.prod(len(o) for o in stab.basic_orbits()) == len(expect)

@@ -28,6 +28,7 @@ from permatch import (
     standard_assignment,
     verify_cycle_system,
 )
+from closure_oracle import brute_closure
 
 
 def k4_triangles():
@@ -65,17 +66,6 @@ def petersen_a5():
     return PermGroup(gens, degree=10)
 
 
-def closure(gens, n):
-    """Every element of <gens> as an image tuple, by breadth-first products."""
-    seen = {tuple(range(n))}
-    frontier = list(seen)
-    while frontier:
-        frontier = [u for u in {tuple(g.images[x] for x in t)
-                                for t in frontier for g in gens} if u not in seen]
-        seen.update(frontier)
-    return seen
-
-
 def reference_certificate(g, group):
     """The certificate by brute force over every element of the group.
 
@@ -85,7 +75,7 @@ def reference_certificate(g, group):
     is the valid system of the least such d, or None when none is valid.
     """
     n = g.n
-    elements = closure(group.generators, n)
+    elements = brute_closure(group.generators, n)
     a, b, c = min((a, b, c) for a in range(n) for b in g.neighbors(a)
                   for c in g.neighbors(b) if c != a)
     h = {t for t in elements if (t[a], t[b], t[c]) == (a, b, c)}

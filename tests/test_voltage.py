@@ -39,20 +39,7 @@ from permatch import (
     spanning_tree,
     standard_assignment,
 )
-
-
-def group_elements(grp):
-    ident = Perm(tuple(range(grp.degree)))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        cur = frontier.pop()
-        for gen in grp.generators:
-            nxt = cur * gen
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return list(seen)
+from closure_oracle import brute_closure
 
 
 def tree_is_acyclic_spanning(g, tree):
@@ -134,6 +121,9 @@ def test_assignment_validation():
         VoltageAssignment(g, 5, tree, [(1, 0)])  # wrong length
     with pytest.raises(ValueError):
         VoltageAssignment(g, 5, {(0, 2)}, [])  # not edges of the graph
+    with pytest.raises(ValueError, match="tree does not span the graph"):
+        # a triangle of K_4 has 3 edges, as a spanning tree would
+        VoltageAssignment(complete(4), 3, {(0, 1), (1, 2), (0, 2)}, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     g = petersen()
     tree = spanning_tree(g)
     cotree = [e for e in g.edges() if e not in tree]
@@ -237,7 +227,7 @@ def test_covering_transformations_are_free():
         ct = covering_transformations(cov)
         assert ct.order() == p ** 3
         # membership against the brute closure of the translations, both ways
-        closure = group_elements(ct)
+        closure = [Perm(t) for t in brute_closure(ct.generators, ct.degree)]
         assert len(closure) == ct.order() and all(t in ct for t in closure)
         for a in aut.generators:
             lift = lift_automorphism(cov, a)
@@ -363,7 +353,7 @@ def test_lifts_compose_up_to_covering_transformations():
     # lifting is a homomorphism modulo the covering transformations:
     # lift(a) * lift(b) and lift(a * b) differ by a translation
     g = complete(4)
-    elements = group_elements(automorphism_group(g))
+    elements = [Perm(t) for t in sorted(brute_closure(automorphism_group(g).generators, g.n))]
     rng = random.Random(3)
     for p in (2, 3):
         cov = derived_cover(standard_assignment(g, p, spanning_tree(g)))
