@@ -21,9 +21,10 @@ The search is a loop over a stack of nodes, so Python's recursion limit
 does not bound its depth.  A node's children individualize each vertex of
 its first non-singleton cell: the first at once, the rest from a generator
 that the loop resumes after each undo to the node.  A leaf is a discrete
-partition, read as a labeling; its key is the relabeled graph's adjacency
-rows as a tuple, and the canonical form is the leaf with the least key.  A
-leaf whose key equals the first leaf's gives an automorphism, and the
+partition, read as a labeling; its key lists each position's neighbour
+positions in decreasing order (so the highest differing neighbour decides,
+as in bitmask rows), and the canonical form is the leaf with the least key.
+A leaf whose key equals the first leaf's gives an automorphism, and the
 search jumps back to the node where it left the first path: the subtree it
 abandons is that automorphism's image of the first path's fully explored
 subtree, so the set of leaf keys, and the canonical form, is unchanged.
@@ -52,7 +53,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
-from .graphs import Graph, _bits, degree_sequence, graph6_encode
+from .graphs import Graph, degree_sequence, graph6_encode
 from .perms import Perm, PermGroup, _find
 
 
@@ -70,7 +71,7 @@ class _Partition:
 
     def __init__(self, g: Graph):
         n = g.n
-        self.adj = [_bits(row) for row in g.rows]
+        self.adj = g.adj
         self.perm = list(range(n))
         self.pos = list(range(n))
         self.cell_of = [0] * n
@@ -170,8 +171,8 @@ class _Search:
         self.g = g
         self.autos: list[Perm] = []
         self.path: tuple[int, ...] = ()  # individualized vertices of the first leaf
-        self.first: tuple[tuple[int, ...], Perm] | None = None  # rows, labeling
-        self.best: tuple[tuple[int, ...], Perm] | None = None
+        self.first: tuple[tuple, Perm] | None = None  # key, labeling
+        self.best: tuple[tuple, Perm] | None = None
         self._orbit = list(range(g.n))  # union-find of the orbits of autos
 
     def run(self) -> None:
@@ -230,18 +231,21 @@ class _Search:
         """Record the leaf whose labeling (vertex -> position) is lab; return
         the depth at which the search resumes."""
         labeling = Perm._raw(tuple(lab))
-        rows = self.g.apply_perm(labeling).rows
+        key = [()] * len(lab)  # position lab[u]: u's neighbour positions, decreasing
+        for u, row in enumerate(self.g.adj):
+            key[lab[u]] = tuple(sorted(map(lab.__getitem__, row), reverse=True))
+        key = tuple(key)
         if self.first is None:
-            self.path, self.first, self.best = tuple(prefix), (rows, labeling), (rows, labeling)
-        elif rows == self.first[0]:
+            self.path, self.first, self.best = tuple(prefix), (key, labeling), (key, labeling)
+        elif key == self.first[0]:
             # an automorphism carrying the first leaf here, and so the first
             # path's subtree below the divergence onto the one holding this leaf
             a = self.first[1] * labeling.inverse()
             self.autos.append(a)
             _merge(self._orbit, a)
             return next(i for i, (x, y) in enumerate(zip(prefix, self.path)) if x != y)
-        elif rows < self.best[0]:
-            self.best = (rows, labeling)
+        elif key < self.best[0]:
+            self.best = (key, labeling)
         return len(prefix)
 
 
@@ -276,8 +280,8 @@ def automorphism_group(g: Graph) -> PermGroup:
 def canonical_form(g: Graph) -> CanonicalForm:
     s = _search_graph(g)
     assert s.best is not None
-    rows, labeling = s.best
-    return CanonicalForm(labeling, graph6_encode(Graph._raw(g.n, rows)))
+    labeling = s.best[1]
+    return CanonicalForm(labeling, graph6_encode(g.apply_perm(labeling)))
 
 
 def canonical_graph6(g: Graph) -> str:

@@ -17,7 +17,6 @@ from .autiso import canonical_graph6
 from .graphs import (
     Graph,
     Matching,
-    _bits,
     _is_prime,
     complement,
     complete,
@@ -169,7 +168,7 @@ def classify_perfect_matchings(m: int, mode: str) -> Catalog:
             for mask in unions[1:]:
                 if mask not in seen:
                     seen.add(mask)
-                    g = Graph(n, [pairs[k] for k in _bits(mask)])
+                    g = Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
                     classes.setdefault(canonical_graph6(g), g)
     known = {e.canonical: e.name for e in matching_catalog(m, mode).entries}
     entries = []

@@ -1,4 +1,4 @@
-"""Finite simple graphs on {0, ..., n-1} with bitmask adjacency rows.
+"""Finite simple graphs on {0, ..., n-1} with neighbour-tuple adjacency.
 
 Vertex numbering conventions for the named families are part of the
 interface: complete_bipartite puts the first part at 0..a-1, cycle(n) runs
@@ -6,103 +6,94 @@ around the cycle in order, odd_graph(m) orders the (m-1)-subsets
 colexicographically, paley_incidence(q) numbers (x, 0) as x and (x, 1) as
 q + x, and composition(g, m) numbers the copy pair (eta, i) as i*n + eta.
 
-Rows, and any other vertex or edge set held as a bitmask, are walked only
-through _bits, which visits the set bits alone, so a row costs its degree
-rather than n.
+The neighbour tuples are the one adjacency format: a row costs its degree,
+not n, and every row names vertex v by one shared int object, so a graph
+with thousands of vertices holds one int per vertex besides its tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 from .perms import Perm
 
-# the set-bit positions of every mask below 256: tiny graphs skip the loop
-_BYTE_BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of a nonnegative mask, increasing."""
-    if mask < 256:
-        return _BYTE_BITS[mask]
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
 
 class Graph:
-    """An undirected simple graph; row u is a bitmask of the neighbors of u."""
+    """An undirected simple graph; adj[u] holds u's neighbours, increasing."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        rows = [0] * n
+        nbrs = [[] for _ in range(n)]
+        ids = list(range(n))
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("edge (%d, %d) out of range" % (u, v))
             if u == v:
                 raise ValueError("loop at vertex %d" % u)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            nbrs[u].append(ids[v])
+            nbrs[v].append(ids[u])
+        # row by row, so each list is freed as its tuple is made
+        for u, row in enumerate(nbrs):
+            nbrs[u] = tuple(sorted(set(row)))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "adj", tuple(nbrs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @classmethod
-    def _raw(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+    def _raw(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", rows)
+        object.__setattr__(g, "adj", adj)
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
+        row = self.adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def neighbors(self, u: int) -> list[int]:
-        return list(_bits(self.rows[u]))
+        return list(self.adj[u])
 
     def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
+        return len(self.adj[u])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v in lexicographic order."""
-        return [(u, v) for u, row in enumerate(self.rows)
-                for v in _bits(row >> (u + 1) << (u + 1))]
+        return [(u, v) for u, row in enumerate(self.adj) for v in row[bisect_right(row, u):]]
 
     @property
     def num_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(map(len, self.adj)) // 2
 
     def apply_perm(self, p: Perm) -> "Graph":
         """Relabel: the image has an edge (p(u), p(v)) for each edge (u, v)."""
         if p.degree != self.n:
             raise ValueError("degree mismatch")
-        rows = [0] * self.n
+        adj = [()] * self.n
         im = p.images
-        for u, row in enumerate(self.rows):
-            acc = 0
-            for v in _bits(row):
-                acc |= 1 << im[v]
-            rows[im[u]] = acc
-        return Graph._raw(self.n, tuple(rows))
+        for u, row in enumerate(self.adj):
+            adj[im[u]] = tuple(sorted(map(im.__getitem__, row)))
+        return Graph._raw(self.n, tuple(adj))
 
     def is_automorphism(self, p: Perm) -> bool:
-        return p.degree == self.n and self.apply_perm(p).rows == self.rows
+        """Whether p maps each u's neighbours onto p(u)'s; builds no copy."""
+        im, adj = p.images, self.adj
+        return p.degree == self.n and all(tuple(sorted(map(im.__getitem__, row))) == adj[im[u]]
+                                          for u, row in enumerate(adj))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return "Graph(n=%d, m=%d)" % (self.n, self.num_edges)
@@ -447,27 +438,26 @@ def subdivide_matching_twice(g: Graph, matching: Matching) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    rows = tuple((full ^ g.rows[u]) & ~(1 << u) for u in range(g.n))
-    return Graph._raw(g.n, rows)
+    return Graph(g.n, [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)])
 
 
-def _bfs_arcs(rows: Sequence[int]) -> list[tuple[int, int]]:
+def _bfs_arcs(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """The arcs (parent, child) of the breadth-first tree from vertex 0,
     neighbors taken in increasing order; it spans iff it has n - 1 arcs."""
-    unseen = (1 << len(rows)) - 2
+    seen = [True] + [False] * (len(adj) - 1)
     arcs = []
     order = [0]
     for u in order:
-        for v in _bits(rows[u] & unseen):
-            unseen ^= 1 << v
-            arcs.append((u, v))
-            order.append(v)
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                arcs.append((u, v))
+                order.append(v)
     return arcs
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_bfs_arcs(g.rows)) == g.n - 1
+    return len(_bfs_arcs(g.adj)) == g.n - 1
 
 
 def degree_sequence(g: Graph) -> list[int]:
@@ -488,10 +478,16 @@ def graph6_encode(g: Graph) -> str:
         header = chr(126) + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for this encoder")
-    # column v holds the pairs (u, v) with u < v, u increasing
-    bits = "".join(format(g.rows[v] & ((1 << v) - 1), "0%db" % v)[::-1] for v in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    return header + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
+    # column v holds the pairs (u, v) with u < v, u increasing, so (u, v) is
+    # bit v(v-1)/2 + u; each 6-bit chunk starts at its high bit
+    data = [0] * ((n * (n - 1) // 2 + 5) // 6)
+    for v, row in enumerate(g.adj):
+        start = v * (v - 1) // 2
+        for u in row:
+            if u >= v:
+                break
+            data[(start + u) // 6] |= 32 >> (start + u) % 6
+    return header + "".join(chr(63 + d) for d in data)
 
 
 def graph6_decode(text: str) -> Graph:
@@ -517,11 +513,10 @@ def graph6_decode(text: str) -> Graph:
     if len(body) != (nbits + 5) // 6:
         raise ValueError("graph6 length mismatch for n=%d" % n)
     bits = "".join(format(d, "06b") for d in body)
-    rows = [0] * n
-    for v in range(1, n):
-        start = v * (v - 1) // 2
-        col = int(bits[start:start + v][::-1], 2)
-        rows[v] |= col
-        for u in _bits(col):
-            rows[u] |= 1 << v
-    return Graph._raw(n, tuple(rows))
+    edges = []
+    k = bits.find("1", 0, nbits)
+    while k >= 0:
+        v = (1 + math.isqrt(8 * k + 1)) // 2
+        edges.append((k - v * (v - 1) // 2, v))
+        k = bits.find("1", k + 1, nbits)
+    return Graph(n, edges)

@@ -147,7 +147,7 @@ def quotient_by_partition(g: Graph, partition: Iterable[Iterable[int]],
             qedges.add((min(bu, bv), max(bu, bv)))
     quotient = Graph(len(blocks.blocks), sorted(qedges))
 
-    masks = [sum(1 << v for v in blk) for blk in blocks.blocks]
-    regular = not intra and all((g.rows[v] & masks[qb]).bit_count() == 1
-                                for v in range(g.n) for qb in quotient.neighbors(index[v]))
+    regular = not intra and all(
+        tuple(sorted(map(index.__getitem__, row))) == quotient.adj[index[v]]
+        for v, row in enumerate(g.adj))
     return QuotientResult(quotient, blocks, regular)

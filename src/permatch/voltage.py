@@ -135,7 +135,7 @@ class VoltageAssignment:
         self.cotree = tuple(cotree)
         self._arc = arc
         # the tree arcs (parent, child) in breadth-first order from vertex 0
-        self._tree_arcs = _bfs_arcs(Graph(base.n, tree_set).rows)
+        self._tree_arcs = _bfs_arcs(Graph(base.n, tree_set).adj)
         if len(self._tree_arcs) != base.n - 1:
             raise ValueError("tree does not span the graph")
 

@@ -4,12 +4,23 @@ Every round recomputes each vertex's neighbour count into every cell and
 splits each cell by those signatures, until a round splits nothing.  The
 result is the coarsest equitable partition finer than the input.  It is
 slow (each round costs n times the number of cells) and shares no code with
-autiso._Partition, so the tests compare the two on small graphs.
+autiso._Partition: it builds its own bitmask rows from the graph's edge
+list, so the tests compare the two on small graphs.
 """
 
 
-def refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _rows(g) -> list[int]:
+    """Row u is the bitmask of u's neighbours."""
+    rows = [0] * g.n
+    for u, v in g.edges():
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def refine(g, cells: list[list[int]]) -> list[list[int]]:
     """Split cells by (neighbor count into each cell) until equitable."""
+    rows = _rows(g)
     while True:
         masks = [sum(1 << v for v in c) for c in cells]
         new_cells: list[list[int]] = []
@@ -34,8 +45,9 @@ def refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
         cells = new_cells
 
 
-def is_equitable(rows: tuple[int, ...], cells: list[list[int]]) -> bool:
+def is_equitable(g, cells: list[list[int]]) -> bool:
     """All vertices of a cell have equal neighbour counts into every cell."""
+    rows = _rows(g)
     masks = [sum(1 << v for v in c) for c in cells]
     return all(len({tuple((rows[v] & m).bit_count() for m in masks) for v in c}) == 1
                for c in cells)

@@ -91,7 +91,7 @@ def test_aut_order_matches_brute_force():
         edges = g.edges()
         count = 0
         for imgs in permutations(range(g.n)):
-            is_aut = all((g.rows[imgs[u]] >> imgs[v]) & 1 for u, v in edges)
+            is_aut = all(g.has_edge(imgs[u], imgs[v]) for u, v in edges)
             assert (Perm(imgs) in grp) == is_aut, (g, imgs)
             count += is_aut
         assert grp.order() == count
@@ -295,8 +295,8 @@ def test_splitter_refinement_matches_from_scratch_oracle():
         part = _Partition(g)
         part.refine([0])
         root = _cells(part)
-        assert _cell_set(root) == _cell_set(refine(g.rows, [list(range(g.n))]))
-        assert is_equitable(g.rows, root)
+        assert _cell_set(root) == _cell_set(refine(g, [list(range(g.n))]))
+        assert is_equitable(g, root)
         target = next((c for c in root if len(c) > 1), None)
         if target is None:
             continue
@@ -305,9 +305,9 @@ def test_splitter_refinement_matches_from_scratch_oracle():
             part.refine([part.individualize(v)])
             cells = _cells(part)
             start = [[v], [x for x in target if x != v]]
-            expected = refine(g.rows, [c for c in root if c != target] + start)
+            expected = refine(g, [c for c in root if c != target] + start)
             assert _cell_set(cells) == _cell_set(expected), (g, v)
-            assert is_equitable(g.rows, cells)
+            assert is_equitable(g, cells)
             part.undo(mark)
             assert _cell_set(_cells(part)) == _cell_set(root)
 

@@ -1,7 +1,8 @@
 """Graph families, constructions, and graph6 I/O.
 
-graph6 encoding is cross-checked against networkx, and the row walks
-(neighbors, edges, apply_perm, is_connected) against has_edge
+graph6 encoding is cross-checked against networkx, and the walks over the
+neighbour tuples (neighbors, edges, apply_perm, is_automorphism,
+is_connected) against the edge lists the graphs were built from, has_edge
 scans and networkx; family constructors are
 checked against their defining counts and against isomorphisms the families
 are known to satisfy.
@@ -20,6 +21,7 @@ from permatch import (
     Perm,
     PermGroup,
     are_isomorphic,
+    automorphism_group,
     complement,
     complete,
     complete_bipartite,
@@ -91,7 +93,7 @@ def test_graph6_against_networkx():
         theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
         assert mine == theirs
         back = graph6_decode(mine)
-        assert back.n == g.n and back.rows == g.rows
+        assert back == g
         via_nx = nx.from_graph6_bytes(mine.encode())
         assert sorted(via_nx.edges()) == [tuple(e) for e in g.edges()]
 
@@ -211,7 +213,7 @@ def test_construction_numbering_is_pinned():
 
 def test_complement_and_induced():
     assert complement(complete(4)).edges() == []
-    assert complement(complement(petersen())).rows == petersen().rows
+    assert complement(complement(petersen())) == petersen()
 
 
 def test_connectivity():
@@ -221,26 +223,55 @@ def test_connectivity():
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
-def test_row_walks_against_naive_scans(n):
-    """Every set-bit walk over rows agrees with has_edge scans and networkx,
-    on sizes at and across machine-word boundaries."""
+def test_neighbour_tuples_against_naive_scans(n):
+    """Every walk over the neighbour tuples agrees with the edge list the
+    graph was built from, with has_edge scans and with networkx, on sizes at
+    and across machine-word boundaries."""
     rng = random.Random(6000 + n)
+    kinds = set()
     for p in (0.02, 0.1, 0.5, 0.9):
-        g = random_graph(rng, n, p)
+        given = [e for e in combinations(range(n), 2) if rng.random() < p]
+        g = Graph(n, given)
         naive = [(u, v) for u, v in combinations(range(n), 2) if g.has_edge(u, v)]
-        assert g.edges() == naive
+        assert g.edges() == naive == given
+        expected = [[] for _ in range(n)]
+        for u, v in given:
+            expected[u].append(v)
+            expected[v].append(u)
         for u in range(n):
             assert g.neighbors(u) == [v for v in range(n) if v != u and g.has_edge(u, v)]
+            row = sorted(expected[u])
+            assert g.neighbors(u) == row and g.degree(u) == len(row)
+            assert not g.has_edge(u, u)
+            if row:
+                # bisect at the first and last entries and just outside them
+                assert g.has_edge(u, row[0]) and g.has_edge(u, row[-1])
+                assert row[0] == 0 or not g.has_edge(u, row[0] - 1)
+                assert row[-1] == n - 1 or not g.has_edge(u, row[-1] + 1)
+        assert g.num_edges == len(given)
+
+        # repeated and reversed edges build the same graph as the plain list
+        noisy = given + [(v, u) for u, v in given] + given[::3]
+        rng.shuffle(noisy)
+        assert Graph(n, noisy) == g and hash(Graph(n, noisy)) == hash(g)
 
         images = list(range(n))
         rng.shuffle(images)
         perm = Perm(images)
         assert g.apply_perm(perm) == Graph(n, [(images[u], images[v]) for u, v in naive])
 
+        # is_automorphism against the relabeled copy, on automorphisms and others
+        swap = Perm.from_cycles(n, [(0, n - 1)]) if n > 1 else perm
+        for q in [Perm.identity(n), perm, swap, *automorphism_group(g).generators]:
+            is_aut = g.is_automorphism(q)
+            assert is_aut == (g.apply_perm(q) == g)
+            kinds.add(is_aut)
+
         h = nx.Graph()
         h.add_nodes_from(range(n))
         h.add_edges_from(naive)
         assert is_connected(g) == nx.is_connected(h)
+    assert kinds == ({True} if n <= 2 else {True, False})  # S_2 preserves every graph
 
 
 def test_hypercube_and_folded():

@@ -55,7 +55,7 @@ def brute_stab_order(g, matching):
     keys = {frozenset(e) for e in matching.edges}
     count = 0
     for imgs in permutations(range(g.n)):
-        if not all((g.rows[imgs[u]] >> imgs[v]) & 1 for u, v in g.edges()):
+        if not all(g.has_edge(imgs[u], imgs[v]) for u, v in g.edges()):
             continue
         if all(frozenset((imgs[a], imgs[b])) in keys for a, b in matching.edges):
             count += 1

@@ -100,4 +100,4 @@ def test_every_private_helper_is_used():
                     found.append(name)
                     own = _references(node)[name] if isinstance(node, defs) else 0
                     assert total[name] > own, (module, name)
-    assert "_bits" in found and "_raw" in found
+    assert "_bfs_arcs" in found and "_raw" in found

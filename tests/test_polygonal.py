@@ -14,6 +14,7 @@ from permatch import (
     complete_bipartite,
     covering_transformations,
     cycle,
+    path_graph,
     derived_cover,
     folded_hypercube,
     hypercube,
@@ -227,6 +228,11 @@ def test_quotient_detects_irregular_covers():
 
     res = quotient_by_partition(complete(4), [[0, 1], [2, 3]])
     assert not res.regular_cover  # edges inside the blocks
+
+    # 0 has no neighbour in {2}, although its block {0, 3} is adjacent to {2}
+    res = quotient_by_partition(path_graph(4), [[0, 3], [1], [2]])
+    assert are_isomorphic(res.graph, cycle(3)) is not None
+    assert not res.regular_cover
 
 
 def test_quotient_validation():

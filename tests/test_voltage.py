@@ -7,6 +7,7 @@ fiber projection; small covers are identified up to isomorphism.
 
 import random
 import time
+import tracemalloc
 from collections import deque
 from itertools import product
 
@@ -347,6 +348,24 @@ def test_lift_group_at_cover_scale():
     lifted = lift_group(cov, aut)
     assert time.perf_counter() - started < 5.0
     assert cov.graph.n == 3645 and lifted.order() == 120 * 3 ** 6
+
+
+def test_is_automorphism_builds_no_relabeled_copy():
+    # the 8,788-vertex K_4 p = 13 cover: checking a lift walks the neighbour
+    # tuples in place, so the check allocates a row at a time, not a graph
+    base = complete(4)
+    cov = derived_cover(standard_assignment(base, 13, spanning_tree(base)))
+    assert cov.graph.n == 8788
+    lifts = [lift_automorphism(cov, a) for a in automorphism_group(base).generators]
+    swap = Perm.from_cycles(cov.graph.n, [(0, 1)])
+    tracemalloc.start()
+    try:
+        assert all(cov.graph.is_automorphism(lift) for lift in lifts)
+        assert not cov.graph.is_automorphism(swap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_lifts_compose_up_to_covering_transformations():
