@@ -173,6 +173,7 @@ class _Search:
         self.path: tuple[int, ...] = ()  # individualized vertices of the first leaf
         self.first: tuple[tuple, Perm] | None = None  # key, labeling
         self.best: tuple[tuple, Perm] | None = None
+        self.labeling: Perm | None = None  # the best leaf's, once run returns
         self._orbit = list(range(g.n))  # union-find of the orbits of autos
 
     def run(self) -> None:
@@ -200,6 +201,8 @@ class _Search:
                     if v is not None:
                         break
                 else:
+                    # nothing reads the leaf keys after the search
+                    self.labeling, self.first, self.best = self.best[1], None, None
                     return
             prefix.append(v)
             part.refine([part.individualize(v)])
@@ -278,9 +281,7 @@ def automorphism_group(g: Graph) -> PermGroup:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    s = _search_graph(g)
-    assert s.best is not None
-    labeling = s.best[1]
+    labeling = _search_graph(g).labeling
     return CanonicalForm(labeling, graph6_encode(g.apply_perm(labeling)))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from . import autiso
@@ -67,41 +68,43 @@ def matching_stabilizer(g: Graph, group: PermGroup, matching: Matching) -> PermG
     """The subgroup of group mapping the edge set of the matching onto itself.
 
     Raises ValueError unless the matching is a matching of g and every
-    generator of the group is an automorphism of g.  Backtrack over a
-    stabilizer chain rebased onto the matched vertices; branches die as soon
-    as a matched vertex heads outside the matching or breaks a partner
-    constraint.  For a single edge this is the setwise stabilizer of its two
-    vertices.
+    generator of the group is an automorphism of g.  The search runs on the
+    group rebased onto the matched vertices pair by pair (see _stabilizer).
+    For a single edge this is the setwise stabilizer of its two vertices.
     """
     validate_matching(g, matching)
     check_group_action(g, group)
-    matched = matching.vertices()
-    if not matched:
+    if not matching.edges:
         return group
+    return _stabilizer(group.rebase(_ends(matching)), matching)
+
+
+def _ends(matching: Matching) -> list[int]:
+    """The ends of the pairs, pair by pair: a_0, b_0, a_1, b_1, ..."""
+    return [x for e in matching for x in e]
+
+
+def _stabilizer(chain: PermGroup, matching: Matching) -> PermGroup:
+    """matching_stabilizer unchecked, on a chain whose base starts with
+    _ends(matching).  Backtrack over that chain: a branch dies as soon as a
+    matched vertex heads outside the matching, an unmatched one inside it,
+    or b_j's image is not the partner of a_j's.
+    """
     partner = matching.partner_map()
-    inside = [v in partner for v in range(group.degree)]
-    keys = matching.edge_keys()
-    rebased = group.rebase(matched)
-    base = rebased.base
-    pos_of = {b: i for i, b in enumerate(base)}
+    ends = len(partner)
 
     def keep(level: int, img: int, imgs: list[int]) -> bool:
-        b = base[level]
-        if inside[b] != inside[img]:
-            return False
-        if inside[b]:
-            jq = pos_of.get(partner[b])
-            if jq is not None and jq < level and imgs[jq] != partner[img]:
-                return False
-        return True
+        if level >= ends:
+            return img not in partner
+        return img in partner and (level % 2 == 0 or partner[img] == imgs[level - 1])
 
-    edges = matching.edges
+    keys, edges = matching.edge_keys(), matching.edges
 
     def test(p: Perm) -> bool:
         im = p.images
         return all(frozenset((im[a], im[b])) in keys for a, b in edges)
 
-    return subgroup_search(rebased, test, prune=keep)
+    return subgroup_search(chain, test, prune=keep)
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,11 @@ def matching_report(g: Graph, matching: Matching,
                     group: PermGroup | None = None) -> MatchingReport:
     """Full symmetry report; group defaults to the automorphism group of g."""
     group = _group_or_aut(g, group)
-    stab = matching_stabilizer(g, group, matching)
+    return _report(g, group, matching, matching_stabilizer(g, group, matching))
+
+
+def _report(g: Graph, group: PermGroup, matching: Matching, stab: PermGroup) -> MatchingReport:
+    """The report of the matching, given its stabilizer in the group."""
     image = induced_action(stab, [set(e) for e in matching])
     m = len(matching)
     induced_order = image.order()
@@ -207,7 +214,10 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
     (e0, e1), which must contain (e1, e0); candidates are pruned
     accordingly.  That orbit is never listed: membership is tested exactly
     through the Schreier tree of the edge orbit of e0 and the orbit of e1
-    under the setwise stabilizer of e0 (see _in_pair_orbit).
+    under the setwise stabilizer of e0 (see _in_pair_orbit).  Each partial
+    matching's stabilizer is searched on its parent's chain rebased onto its
+    last edge, and its candidates are its parent's that pass the tests on
+    that edge.
     """
     mode = normalize_mode(mode)
     if m < 1:
@@ -218,34 +228,42 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
     visited: set[frozenset[Edge]] = set()
     invs = [p.inverse().images for p in group.generators]
 
-    def extend(partial: list[Edge], orbit: dict,
+    def extend(partial: list[Edge], parent: PermGroup, pool: Iterable[Edge], orbit: dict,
                e1_orbit: dict | None) -> Matching | None:
-        if len(partial) == m:
-            cand = Matching(partial)
-            return cand if matching_report(g, cand, group).passes(mode) else None
         key = frozenset(partial)
         if key in visited:
-            return None
+            return None  # a leaf too: its verdict does not depend on edge order
         visited.add(key)
-        stab = matching_stabilizer(g, group, Matching(partial))
-        used = {x for e in partial for x in e}
-        candidates = [e for e in orbit if e[0] not in used and e[1] not in used
-                      and (e1_orbit is None or all(
-                          _in_pair_orbit(orbit, invs, e1_orbit, f, e) for f in partial))]
+        cand = Matching(partial)
+        # parent's base starts with the ends of partial[:-1], so its levels
+        # are kept and only the last edge's two points cost anything
+        chain = parent.rebase(_ends(cand))
+        stab = _stabilizer(chain, cand)
+        if len(partial) == m:
+            return cand if _report(g, group, cand, stab).passes(mode) else None
+        # pool, the parent's candidates (e1_orbit at the second edge, since
+        # (e0, e) is in the orbit of (e0, e1) exactly when e is in e1_orbit),
+        # already meets every test on partial[:-1]
+        a, b = partial[-1]
+        candidates = [e for e in pool if a not in e and b not in e and (
+            e1_orbit is None or _in_pair_orbit(orbit, invs, e1_orbit, partial[-1], e))]
         if len(candidates) < m - len(partial):
             return None
         for sub in _edge_orbits(stab, candidates):
             e = next(iter(sub))
             if len(partial) == 1 and not _in_pair_orbit(orbit, invs, sub, e, partial[0]):
                 continue  # no group element can ever swap these two edges
-            result = extend(partial + [e], orbit, sub if len(partial) == 1 else e1_orbit)
+            if len(partial) == 1:
+                result = extend(partial + [e], chain, sub, orbit, sub)
+            else:
+                result = extend(partial + [e], chain, candidates, orbit, e1_orbit)
             if result is not None:
                 return result
         return None
 
     result = None
     for orbit in _edge_orbits(group, g.edges()):
-        result = extend([next(iter(orbit))], orbit, None)
+        result = extend([next(iter(orbit))], group, orbit, orbit, None)
         if result is not None:
             break
     # extend refers to itself through its closure; emptying that cell frees

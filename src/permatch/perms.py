@@ -6,8 +6,9 @@ membership tests and stabilizers exact and reproducible.  A chain stores
 Schreier trees, not coset representatives (Sims 1971; Seress 2003, section
 4.1).  It comes from the one Schreier-Sims (PermGroup; voltage.lift_group
 stops it at a known order), from conjugating another chain (rebase, which
-runs Schreier-Sims where conjugation stops), or is read off a search:
-subgroup_search, the one backtrack over a chain, or automorphism_group.
+runs Schreier-Sims where conjugation stops), or is read off the orbits of
+the elements a search found: subgroup_search, the one backtrack over a
+chain, or automorphism_group.
 Every tree is grown by the one orbit walk, orbits.  Orders are Python ints.
 """
 
@@ -442,50 +443,72 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
     """H = {g in group : test(g)}, which must be a subgroup, with its chain.
 
     For each level i of the group's chain (base b_0, b_1, ...), deepest
-    first, and each d != b_i in the basic orbit of b_i, the search scans the
-    elements fixing b_0..b_{i-1} and sending b_i to d until one passes test.
-    prune(level, img, imgs) sees the images of base[0..level-1] in imgs and
-    a candidate image img of base[level]; False cuts the branch, and prune
-    may cut only branches where no element passes test.  Then the elements
-    found at level i and the identity are a transversal, and strong
-    generators, of H_i = H fixing b_0..b_{i-1} on the orbit of b_i (Seress
-    2003, chapter 9): H's chain, on the group's base, is read off the
-    search.  Generators come deepest level first, by increasing d.
+    first, and each d in the basic orbit of b_i outside the orbit of b_i
+    under the elements found so far, the search scans the elements fixing
+    b_0..b_{i-1} and sending b_i to d until one passes test.  prune(level,
+    img, imgs) sees the images of base[0..level-1] in imgs and a candidate
+    image img of base[level]; False cuts the branch, and prune may cut only
+    branches where no element passes test.  The elements found at levels i
+    and deeper lie in H_i = H fixing b_0..b_{i-1} and reach every point of
+    its orbit of b_i, so they generate H_i and are strong generators of H
+    (Seress 2003, chapter 9): H's chain, on the group's base, is read off
+    their orbits.  A scanned element is carried as the generators along the
+    tree paths it descended, images of base points are followed point by
+    point, and a whole element is spelled only at a leaf, for test.
+    Generators come deepest level first, in tree order of d.
     """
     levels = group._levels
     k = len(levels)
     base_pts = [lvl.point for lvl in levels]
-    orbits = [sorted(lvl.tree) for lvl in levels]
     ims = [[g.images for g in lvl.gens] for lvl in levels]
     ident = tuple(range(group.degree))
     found: list[Perm] = []
+    # generator images along the tree paths descended, each path from its
+    # point back to its root and the shallowest level first: the element
+    # applies them last to first
+    word: list[tuple[int, ...]] = []
 
-    def extend(i: int, w: tuple[int, ...], imgs: list[int]) -> Perm | None:
+    def descend(i: int, d: int) -> None:
+        tree, gens = levels[i].tree, ims[i]
+        while tree[d] is not None:
+            d, j = tree[d]
+            word.append(gens[j])
+
+    def extend(i: int, imgs: list[int]) -> Perm | None:
         if i == k:
-            p = Perm._raw(w)
+            t = ident
+            for im in word:
+                t = tuple(map(t.__getitem__, im))
+            p = Perm._raw(t)
             return p if test(p) else None
-        for d in orbits[i]:
-            img = w[d]
+        mark = len(word)
+        for d in levels[i].tree:
+            img = d
+            for im in reversed(word):
+                img = im[img]
             if prune is not None and not prune(i, img, imgs):
                 continue
             imgs.append(img)
-            r = extend(i + 1, _spell(levels[i].tree, ims[i], d, w), imgs)
+            descend(i, d)
+            r = extend(i + 1, imgs)
+            del word[mark:]
             imgs.pop()
             if r is not None:
                 return r
         return None
 
     for i in range(k - 1, -1, -1):
-        prefix = base_pts[:i]
-        for d in orbits[i]:
-            if d == levels[i].point:
-                continue  # covered by deeper levels
-            if prune is not None and not prune(i, d, prefix):
+        b, prefix = base_pts[i], base_pts[:i]
+        (reached,) = orbits(found, [b])
+        for d in levels[i].tree:
+            if d in reached or prune is not None and not prune(i, d, prefix):
                 continue
-            imgs = prefix + [d]
-            g = extend(i + 1, _spell(levels[i].tree, ims[i], d, ident), imgs)
+            descend(i, d)
+            g = extend(i + 1, prefix + [d])
+            word.clear()
             if g is not None:
                 found.append(g)
+                (reached,) = orbits(found, [b])
     # extend refers to itself through its closure; emptying that cell frees
     # the group's chain now rather than at the next cyclic collection
     del extend

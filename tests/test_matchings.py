@@ -45,6 +45,8 @@ from permatch import (
     path_graph,
     petersen,
 )
+from closure_oracle import brute_closure
+import subgroup_oracle
 
 
 def prism3():
@@ -151,11 +153,14 @@ def test_petersen_perfect_matching_is_sharply_2transitive():
         ("induced_order", 20),
         ("permutable", False),
         ("two_transitive", True),
-        ("induced_generators", [[0, 4, 3, 2, 1], [1, 2, 3, 4, 0], [2, 1, 0, 4, 3],
-                                [3, 2, 1, 0, 4], [4, 3, 2, 1, 0], [0, 2, 4, 1, 3],
-                                [1, 3, 0, 2, 4], [2, 0, 3, 1, 4], [3, 1, 4, 2, 0],
-                                [4, 1, 3, 0, 2]]),
+        # not canonical: the images of the generators subgroup_search found
+        ("induced_generators", [[0, 4, 3, 2, 1], [2, 4, 1, 3, 0]]),
     ]
+    # independently, the pinned generators close to a group of order 20
+    # that carries (0, 1) onto every ordered pair of distinct edges
+    elements = brute_closure(rep.induced_generators, 5)
+    assert len(elements) == 20
+    assert {(t[0], t[1]) for t in elements} == set(permutations(range(5), 2))
 
 
 def test_hypercube_three_matching():
@@ -537,3 +542,21 @@ def test_matching_report_invariant_under_relabeling(case):
                 rep.permutable, rep.two_transitive)
 
     assert fields(matching_report(g.apply_perm(sigma), moved)) == fields(matching_report(g, matching))
+
+
+@pytest.mark.parametrize("mode", [MODE_PERMUTABLE, MODE_TWO_TRANSITIVE])
+def test_search_agrees_with_the_route_before_orbit_pruning(mode):
+    """On every catalog entry for m <= 7, find_matching returns the witness
+    of the old route (one rebase from the full group per partial matching,
+    unpruned subgroup search), and both routes give equal stabilizer orders
+    on each prefix of it."""
+    for m in range(2, 8):
+        for entry in matching_catalog(m, mode).entries:
+            g = entry.graph
+            witness = find_matching(g, None, m, mode)
+            assert witness is not None and witness == subgroup_oracle.find_matching(g, None, m, mode)
+            grp = automorphism_group(g)
+            for k in range(1, m + 1):
+                prefix = Matching(witness.edges[:k])
+                assert (matching_stabilizer(g, grp, prefix).order()
+                        == subgroup_oracle.matching_stabilizer(g, grp, prefix).order())

@@ -39,6 +39,7 @@ from permatch import (
 )
 from permatch import perms
 from closure_oracle import brute_closure
+import subgroup_oracle
 
 
 def random_group(rng, degree, n_gens):
@@ -284,6 +285,27 @@ def test_subgroup_search_parity():
         assert (Perm(images) in a5) == is_even(Perm(images))
 
 
+def test_subgroup_search_skips_points_the_found_subgroup_reaches():
+    # A_8 in S_8: each level needs one element past the orbit of the
+    # elements found deeper (the search before that pruning made 42 tests
+    # and kept 27 generators, one per point of each basic orbit)
+    s8 = PermGroup(sym_gens(8))
+    counts = {}
+    for name, search in (("new", subgroup_search), ("old", subgroup_oracle.subgroup_search)):
+        tests = 0
+
+        def is_even(p):
+            nonlocal tests
+            tests += 1
+            return sum(len(c) - 1 for c in p.cycles()) % 2 == 0
+
+        a8 = search(s8, is_even)
+        assert a8.order() == math.factorial(8) // 2
+        counts[name] = (tests, len(a8.generators))
+    assert counts["old"] == (42, 27)
+    assert counts["new"][0] <= 12 and counts["new"][1] <= 6
+
+
 def test_orbits_partition_domain():
     rng = random.Random(5)
     for _ in range(10):
@@ -521,9 +543,13 @@ def test_subgroup_search_chain_properties(case):
     def keep(level, img, imgs):
         return (base[level] in subset) == (img in subset)
 
-    stab = subgroup_search(group, lambda p: all(p.images[x] in subset for x in subset),
-                           prune=keep)
+    def test(p):
+        return all(p.images[x] in subset for x in subset)
+
+    stab = subgroup_search(group, test, prune=keep)
     expect = {t for t in brute_closure(gens, n) if all(t[x] in subset for x in subset)}
+    old = subgroup_oracle.subgroup_search(group, test, prune=keep)
+    assert old.order() == stab.order() and old.basic_orbits() == stab.basic_orbits()
     for images in permutations(range(n)):
         assert (Perm(images) in stab) == (images in expect)
     assert stab.order() == math.prod(len(o) for o in stab.basic_orbits()) == len(expect)
