@@ -87,16 +87,16 @@ def _ends(matching: Matching) -> list[int]:
 def _stabilizer(chain: PermGroup, matching: Matching) -> PermGroup:
     """matching_stabilizer unchecked, on a chain whose base starts with
     _ends(matching).  Backtrack over that chain: a branch dies as soon as a
-    matched vertex heads outside the matching, an unmatched one inside it,
-    or b_j's image is not the partner of a_j's.
+    matched vertex heads outside the matching or b_j's image is not the
+    partner of a_j's.
     """
     partner = matching.partner_map()
     ends = len(partner)
 
     def keep(level: int, img: int, imgs: list[int]) -> bool:
-        if level >= ends:
-            return img not in partner
-        return img in partner and (level % 2 == 0 or partner[img] == imgs[level - 1])
+        # the 2m ends were sent onto the 2m matched vertices, so later images miss them
+        return level >= ends or img in partner and (
+            level % 2 == 0 or partner[img] == imgs[level - 1])
 
     keys, edges = matching.edge_keys(), matching.edges
 
@@ -184,19 +184,19 @@ def _edge_orbits(group: PermGroup, edges: list[Edge]) -> list[dict[Edge, tuple[E
     return trees
 
 
-def _in_pair_orbit(orbit: dict, invs: list[tuple[int, ...]], e1_orbit: dict,
+def _in_pair_orbit(orbit: dict, inverses: list[tuple[int, ...]], e1_orbit: dict,
                    a: Edge, b: Edge) -> bool:
     """Is (a, b) in the group orbit of the ordered edge pair (e0, e1)?
 
     orbit is the Schreier tree of the edge orbit of e0, spelling t_a sending
-    e0 to a; invs are the generators' inverse images; e1_orbit is the orbit
+    e0 to a; inverses are the generators' inverse images; e1_orbit is the orbit
     of e1 under the setwise stabilizer of e0.  Every element sending e0 to a
     is h * t_a with h fixing e0, so the test is whether b^(t_a^-1), found by
     walking the tree from a back to e0, lies in e1_orbit.
     """
     while orbit[a] is not None:
         a, k = orbit[a]
-        b = _on_edge(invs[k], b)
+        b = _on_edge(inverses[k], b)
     return b in e1_orbit
 
 
@@ -226,7 +226,7 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
     if 2 * m > g.n:
         return None
     visited: set[frozenset[Edge]] = set()
-    invs = [p.inverse().images for p in group.generators]
+    inverses = [p.inverse().images for p in group.generators]
 
     def extend(partial: list[Edge], parent: PermGroup, pool: Iterable[Edge], orbit: dict,
                e1_orbit: dict | None) -> Matching | None:
@@ -246,12 +246,12 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
         # already meets every test on partial[:-1]
         a, b = partial[-1]
         candidates = [e for e in pool if a not in e and b not in e and (
-            e1_orbit is None or _in_pair_orbit(orbit, invs, e1_orbit, partial[-1], e))]
+            e1_orbit is None or _in_pair_orbit(orbit, inverses, e1_orbit, partial[-1], e))]
         if len(candidates) < m - len(partial):
             return None
         for sub in _edge_orbits(stab, candidates):
             e = next(iter(sub))
-            if len(partial) == 1 and not _in_pair_orbit(orbit, invs, sub, e, partial[0]):
+            if len(partial) == 1 and not _in_pair_orbit(orbit, inverses, sub, e, partial[0]):
                 continue  # no group element can ever swap these two edges
             if len(partial) == 1:
                 result = extend(partial + [e], chain, sub, orbit, sub)

@@ -2,13 +2,13 @@
 
 Permutations act on the right: x^(g*h) == (x^g)^h.  Groups carry a
 deterministic base and strong generating set, which makes orders,
-membership tests and stabilizers exact and reproducible.  A chain stores
-Schreier trees, not coset representatives (Sims 1971; Seress 2003, section
-4.1).  It comes from the one Schreier-Sims (PermGroup; voltage.lift_group
-stops it at a known order), from conjugating another chain (rebase, which
-runs Schreier-Sims where conjugation stops), or is read off the orbits of
-the elements a search found: subgroup_search, the one backtrack over a
-chain, or automorphism_group.
+membership tests and stabilizers exact and reproducible.  A chain level
+holds a base point, generators and a Schreier tree: no coset
+representatives, and inverses only as sifts compute them (Sims 1971;
+Seress 2003, section 4.1).  Chains come from the one Schreier-Sims
+(PermGroup; voltage.lift_group stops it at a known order), from
+conjugating another chain (rebase), from the one backtrack over a chain
+(subgroup_search), or are read off strong generators (_from_strong_generators).
 Every tree is grown by the one orbit walk, orbits.  Orders are Python ints.
 """
 
@@ -23,13 +23,14 @@ from typing import Callable, Iterable, Sequence
 class Perm:
     """An immutable permutation stored as a tuple of images."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_inv")
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError("not a permutation of 0..n-1: %r" % (images,))
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -39,6 +40,7 @@ class Perm:
         # internal: trusted images, skip validation
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_inv", None)
         return p
 
     @property
@@ -90,10 +92,13 @@ class Perm:
         return Perm._raw(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Perm._raw(tuple(inv))
+        """The inverse, computed on the first call and kept."""
+        if self._inv is None:
+            inv = [0] * len(self.images)
+            for i, x in enumerate(self.images):
+                inv[x] = i
+            object.__setattr__(self, "_inv", Perm._raw(tuple(inv)))
+        return self._inv
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -195,15 +200,14 @@ def orbits(gens: Sequence[Perm], seeds: Iterable, act: Callable = operator.getit
 class _Level:
     """One level of a stabilizer chain: a base point, generators of the
     subgroup fixing the earlier base points (the strong generators filed
-    here or deeper, or their conjugates) with their inverse images, and the
-    Schreier tree (see orbits) of the basic orbit under them."""
+    here or deeper, or their conjugates), the Schreier tree (see orbits) of
+    the basic orbit under them, and the Schreier generators sifted (_done)."""
 
-    __slots__ = ("point", "gens", "invs", "tree", "_done")
+    __slots__ = ("point", "gens", "tree", "_done")
 
     def __init__(self, point: int):
         self.point = point
         self.gens: list[Perm] = []
-        self.invs: list[tuple[int, ...]] = []
         self.tree: dict[int, tuple[int, int] | None] = {point: None}
         self._done: set[tuple[int, int]] = set()
 
@@ -223,13 +227,13 @@ def _sift(levels: list[_Level], p: Perm, start: int = 0) -> tuple[Perm, int]:
     im = p.images
     for i in range(start, len(levels)):
         lvl = levels[i]
-        tree, invs = lvl.tree, lvl.invs
+        tree, gens = lvl.tree, lvl.gens
         d = im[lvl.point]
         if d not in tree:
             return Perm._raw(im), i
         while tree[d] is not None:
             d, k = tree[d]
-            im = tuple(map(invs[k].__getitem__, im))
+            im = tuple(map(gens[k].inverse().images.__getitem__, im))
     return Perm._raw(im), len(levels)
 
 
@@ -238,10 +242,8 @@ def _append_gen(levels: list[_Level], p: Perm, j: int) -> None:
     one (creating level j and its base point if the chain ends there)."""
     if j == len(levels):
         levels.append(_Level(min(p.moved_points())))
-    inv = p.inverse().images
     for lvl in levels[:j + 1]:
         lvl.gens.append(p)
-        lvl.invs.append(inv)
 
 
 def _grow(lvl: _Level) -> None:
@@ -394,7 +396,6 @@ class PermGroup:
                 return lvl  # a level is never changed once its chain is built
             new = _Level(c[lvl.point])
             new.gens = [Perm._raw(conjugate(g.images)) for g in lvl.gens]
-            new.invs = list(map(conjugate, lvl.invs))
             new.tree = {c[y]: link and (c[link[0]], link[1]) for y, link in lvl.tree.items()}
             return new
 
@@ -409,9 +410,8 @@ class PermGroup:
                 levels.append(relabeled(lvl))
                 s += 1
             elif all(g.images[x] == x for g in lvl.gens):
-                kept = relabeled(lvl)
                 levels.append(_Level(h))
-                levels[-1].gens, levels[-1].invs = kept.gens, kept.invs
+                levels[-1].gens = relabeled(lvl).gens
             else:
                 order = math.prod(len(rest.tree) for rest in source[s:])
                 levels += _schreier_sims([_Level(b) for b in base_hint[i:]], relabeled(lvl).gens,
@@ -451,28 +451,28 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
     branches where no element passes test.  The elements found at levels i
     and deeper lie in H_i = H fixing b_0..b_{i-1} and reach every point of
     its orbit of b_i, so they generate H_i and are strong generators of H
-    (Seress 2003, chapter 9): H's chain, on the group's base, is read off
-    their orbits.  A scanned element is carried as the generators along the
-    tree paths it descended, images of base points are followed point by
-    point, and a whole element is spelled only at a leaf, for test.
-    Generators come deepest level first, in tree order of d.
+    (Seress 2003, chapter 9), so H's chain on the group's base is built as
+    the search goes: level i's tree is the orbit of b_i they reach.  A
+    scanned element is carried as the generators along the tree paths it
+    descended, base images are followed point by point, and a whole element
+    is spelled only at a leaf, for test.  Generators come deepest level
+    first, in tree order of d.
     """
     levels = group._levels
     k = len(levels)
     base_pts = [lvl.point for lvl in levels]
-    ims = [[g.images for g in lvl.gens] for lvl in levels]
+    chain = [_Level(b) for b in base_pts]
     ident = tuple(range(group.degree))
-    found: list[Perm] = []
     # generator images along the tree paths descended, each path from its
     # point back to its root and the shallowest level first: the element
     # applies them last to first
     word: list[tuple[int, ...]] = []
 
     def descend(i: int, d: int) -> None:
-        tree, gens = levels[i].tree, ims[i]
+        tree, gens = levels[i].tree, levels[i].gens
         while tree[d] is not None:
             d, j = tree[d]
-            word.append(gens[j])
+            word.append(gens[j].images)
 
     def extend(i: int, imgs: list[int]) -> Perm | None:
         if i == k:
@@ -498,21 +498,21 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
         return None
 
     for i in range(k - 1, -1, -1):
-        b, prefix = base_pts[i], base_pts[:i]
-        (reached,) = orbits(found, [b])
+        lvl, prefix = chain[i], base_pts[:i]
+        (lvl.tree,) = orbits(lvl.gens, [lvl.point])
         for d in levels[i].tree:
-            if d in reached or prune is not None and not prune(i, d, prefix):
+            if d in lvl.tree or prune is not None and not prune(i, d, prefix):
                 continue
             descend(i, d)
             g = extend(i + 1, prefix + [d])
             word.clear()
             if g is not None:
-                found.append(g)
-                (reached,) = orbits(found, [b])
+                _append_gen(chain, g, i)
+                (lvl.tree,) = orbits(lvl.gens, [lvl.point])
     # extend refers to itself through its closure; emptying that cell frees
     # the group's chain now rather than at the next cyclic collection
     del extend
-    return PermGroup._from_strong_generators(base_pts, found, group.degree)
+    return PermGroup._from_chain(chain[0].gens if chain else (), group.degree, chain)
 
 
 def is_transitive(group: PermGroup) -> bool:

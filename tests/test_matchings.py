@@ -45,7 +45,9 @@ from permatch import (
     path_graph,
     petersen,
 )
+from permatch import matchings
 from closure_oracle import brute_closure
+from test_perms import assert_chain_is_read_off
 import subgroup_oracle
 
 
@@ -560,3 +562,23 @@ def test_search_agrees_with_the_route_before_orbit_pruning(mode):
                 prefix = Matching(witness.edges[:k])
                 assert (matching_stabilizer(g, grp, prefix).order()
                         == subgroup_oracle.matching_stabilizer(g, grp, prefix).order())
+
+
+@pytest.mark.parametrize("mode", [MODE_PERMUTABLE, MODE_TWO_TRANSITIVE])
+def test_stabilizer_chains_are_their_read_off(monkeypatch, mode):
+    """Every stabilizer find_matching searches on the catalog entries for
+    m <= 5 has the chain read off its own base and generators."""
+    searched = []
+    search = matchings.subgroup_search
+
+    def checked(*args, **kwargs):
+        stab = search(*args, **kwargs)
+        assert_chain_is_read_off(stab)
+        searched.append(stab.order())
+        return stab
+
+    monkeypatch.setattr(matchings, "subgroup_search", checked)
+    for m in range(2, 6):
+        for entry in matching_catalog(m, mode).entries:
+            assert find_matching(entry.graph, None, m, mode) is not None
+    assert len(searched) > 50 and max(searched) > 1

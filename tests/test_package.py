@@ -101,3 +101,19 @@ def test_every_private_helper_is_used():
                     own = _references(node)[name] if isinstance(node, defs) else 0
                     assert total[name] > own, (module, name)
     assert "_bfs_arcs" in found and "_raw" in found
+
+
+def test_every_slot_is_read():
+    # a field that nothing reads is dead state: each __slots__ name of a class
+    # in src/ is read as an attribute somewhere in src/
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "permatch").glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    slots = [(cls.name, name) for tree in trees for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+             for name in ast.literal_eval(node.value)]
+    assert ("Perm", "_inv") in slots and ("_Level", "_done") in slots
+    assert [slot for slot in slots if slot[1] not in read] == []

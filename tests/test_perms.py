@@ -72,6 +72,14 @@ def assert_strong_generating_set(group):
         assert tuple(sorted(orbits(fixing, [base[i]])[0])) == orbit, i
 
 
+def assert_chain_is_read_off(group):
+    """Each level of the group's chain has the point, generator list and
+    tree (items in order) of the chain read off its base and generators."""
+    read_off = PermGroup._from_strong_generators(group.base, group.generators, group.degree)
+    assert ([(lvl.point, lvl.gens, list(lvl.tree.items())) for lvl in group._levels]
+            == [(lvl.point, lvl.gens, list(lvl.tree.items())) for lvl in read_off._levels])
+
+
 def star_cover(g, p):
     """The Z_p-homology cover of g, its star matching and its lifted group."""
     cover = derived_cover(standard_assignment(g, p, spanning_tree(g)))
@@ -304,6 +312,27 @@ def test_subgroup_search_skips_points_the_found_subgroup_reaches():
         counts[name] = (tests, len(a8.generators))
     assert counts["old"] == (42, 27)
     assert counts["new"][0] <= 12 and counts["new"][1] <= 6
+
+
+def test_subgroup_search_inverts_nothing(monkeypatch):
+    # the search files what it finds without inverting it (the read-off
+    # before made one inverse per element found); a permutation keeps the
+    # inverse it computed
+    s8 = PermGroup(sym_gens(8))
+    calls = []
+    inverse = Perm.inverse
+
+    def counted(p):
+        calls.append(p)
+        return inverse(p)
+
+    monkeypatch.setattr(Perm, "inverse", counted)
+    a8 = subgroup_search(s8, lambda p: sum(len(c) - 1 for c in p.cycles()) % 2 == 0)
+    assert a8.order() == math.factorial(8) // 2 and a8.generators
+    assert calls == []
+    p = Perm.from_cycles(8, [(0, 3, 5), (1, 7)])
+    assert p.inverse() is p.inverse()
+    assert p.inverse().inverse() == p and p * p.inverse() == Perm.identity(8)
 
 
 def test_orbits_partition_domain():
@@ -558,6 +587,24 @@ def test_subgroup_search_chain_properties(case):
     assert rebased.order() == stab.order()
     assert_strong_generating_set(rebased)
     assert_strong_generating_set(rebased.rebase(hint[::-1]))
+
+
+@seed(2017)
+@settings(max_examples=120, deadline=None, database=None)
+@given(groups_with_subsets())
+def test_subgroup_search_chain_is_its_read_off(case):
+    """The chain subgroup_search builds as it goes is the one read off the
+    orbits of the elements it found."""
+    gens, _, subset = case
+    group = PermGroup(gens)
+    base = group.base
+
+    def keep(level, img, imgs):
+        return (base[level] in subset) == (img in subset)
+
+    stab = subgroup_search(group, lambda p: all(p.images[x] in subset for x in subset), prune=keep)
+    assert stab.base == base
+    assert_chain_is_read_off(stab)
 
 
 def test_block_system_type():
