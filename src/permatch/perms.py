@@ -9,7 +9,8 @@ Seress 2003, section 4.1).  Chains come from the one Schreier-Sims
 (PermGroup; voltage.lift_group stops it at a known order), from
 conjugating another chain (rebase), from the one backtrack over a chain
 (subgroup_search), or are read off strong generators (_from_strong_generators).
-Every tree is grown by the one orbit walk, orbits.  Orders are Python ints.
+A chain's trees grow only as _append_gen files a generator; orbits answers
+orbit queries.  Orders are Python ints.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from typing import Callable, Iterable, Sequence
 
 
@@ -198,10 +200,10 @@ def orbits(gens: Sequence[Perm], seeds: Iterable, act: Callable = operator.getit
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point, generators of the
-    subgroup fixing the earlier base points (the strong generators filed
-    here or deeper, or their conjugates), the Schreier tree (see orbits) of
-    the basic orbit under them, and the Schreier generators sifted (_done)."""
+    """A chain level: base point, generators of the subgroup fixing the
+    earlier base points (strong generators filed here or deeper, or their
+    conjugates), Schreier tree (see orbits) of the basic orbit under them,
+    grown only by _append_gen, and sifted Schreier generators (_done)."""
 
     __slots__ = ("point", "gens", "tree", "_done")
 
@@ -238,21 +240,25 @@ def _sift(levels: list[_Level], p: Perm, start: int = 0) -> tuple[Perm, int]:
 
 
 def _append_gen(levels: list[_Level], p: Perm, j: int) -> None:
-    """Store a sifted residue as a generator at level j and every earlier
-    one (creating level j and its base point if the chain ends there)."""
+    """File p at level j and every earlier one (creating level j if the
+    chain ends there) and extend their trees to the orbits: p from the old
+    points, then every generator from the new ones only.  Old links stay, so
+    no coset representative changes, as the record _done needs."""
     if j == len(levels):
         levels.append(_Level(min(p.moved_points())))
+    im = p.images
     for lvl in levels[:j + 1]:
-        lvl.gens.append(p)
-
-
-def _grow(lvl: _Level) -> None:
-    """Extend the level's tree to the orbit under its generators.  Old links
-    stay and gens only grows at its end, so no coset representative changes,
-    as the record of sifted Schreier generators (_done) needs."""
-    (fresh,) = orbits(lvl.gens, [lvl.point])
-    for y, link in fresh.items():  # a new point links to one found before it
-        lvl.tree.setdefault(y, link)
+        tree, gens, k = lvl.tree, lvl.gens, len(lvl.gens)
+        gens.append(p)
+        new = {im[x]: (x, k) for x in tree if im[x] not in tree}
+        tree.update(new)
+        queue, ims = list(new), [g.images for g in gens] if new else ()
+        for x in queue:
+            for k, gim in enumerate(ims):
+                y = gim[x]
+                if y not in tree:
+                    tree[y] = (x, k)
+                    queue.append(y)
 
 
 def _schreier_residue(levels: list[_Level], j: int, n0: int) -> tuple[Perm | None, int]:
@@ -289,26 +295,20 @@ def _schreier_sims(levels: list[_Level], gens: Iterable[Perm],
     """
     for g in gens:
         residue, j = _sift(levels, g)
-        if not residue.is_identity() and _file(levels, residue, j, order):
-            return levels
+        if not residue.is_identity():
+            _append_gen(levels, residue, j)
+            if math.prod(len(lvl.tree) for lvl in levels) == order:
+                return levels
     # the residues filed so far generate <gens>, and a residue stuck at
     # level j leaves every level deeper than j complete
     n0 = len(levels[0].gens) if levels else 0
     residue, j = _schreier_residue(levels, len(levels) - 1, n0)
     while residue is not None:
-        if _file(levels, residue, j, order):
+        _append_gen(levels, residue, j)
+        if math.prod(len(lvl.tree) for lvl in levels) == order:
             return levels
         residue, j = _schreier_residue(levels, j, n0)
     return levels
-
-
-def _file(levels: list[_Level], p: Perm, j: int, order: int | None) -> bool:
-    """File residue p at level j and grow the trees it joins; tell whether
-    the product of the tree sizes is order."""
-    _append_gen(levels, p, j)
-    for lvl in levels[:j + 1]:
-        _grow(lvl)
-    return math.prod(len(lvl.tree) for lvl in levels) == order
 
 
 class PermGroup:
@@ -347,8 +347,6 @@ class PermGroup:
         levels = [_Level(b) for b in base]
         for g in gens:
             _append_gen(levels, g, next(i for i, b in enumerate(base) if g.images[b] != b))
-        for lvl in levels:
-            _grow(lvl)
         return cls._from_chain(gens, degree, levels)
 
     @property
@@ -452,14 +450,14 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
     and deeper lie in H_i = H fixing b_0..b_{i-1} and reach every point of
     its orbit of b_i, so they generate H_i and are strong generators of H
     (Seress 2003, chapter 9), so H's chain on the group's base is built as
-    the search goes: level i's tree is the orbit of b_i they reach.  A
-    scanned element is carried as the generators along the tree paths it
-    descended, base images are followed point by point, and a whole element
-    is spelled only at a leaf, for test.  Generators come deepest level
-    first, in tree order of d.
+    the search goes: filing each (_append_gen) extends level i's tree to
+    the orbit of b_i they reach.  A scanned element is carried as the
+    generators along the tree paths it descended, base images are followed
+    point by point, and a whole element is spelled only at a leaf, for test.
+    Generators come deepest level first, in tree order of d.
     """
     levels = group._levels
-    k = len(levels)
+    k, limit = len(levels), sys.getrecursionlimit()
     base_pts = [lvl.point for lvl in levels]
     chain = [_Level(b) for b in base_pts]
     ident = tuple(range(group.degree))
@@ -497,18 +495,20 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
                 return r
         return None
 
-    for i in range(k - 1, -1, -1):
-        lvl, prefix = chain[i], base_pts[:i]
-        (lvl.tree,) = orbits(lvl.gens, [lvl.point])
-        for d in levels[i].tree:
-            if d in lvl.tree or prune is not None and not prune(i, d, prefix):
-                continue
-            descend(i, d)
-            g = extend(i + 1, prefix + [d])
-            word.clear()
-            if g is not None:
-                _append_gen(chain, g, i)
-                (lvl.tree,) = orbits(lvl.gens, [lvl.point])
+    sys.setrecursionlimit(limit + k)  # extend recurses once per level
+    try:
+        for i in range(k - 1, -1, -1):
+            found, prefix = chain[i].tree, base_pts[:i]
+            for d in levels[i].tree:
+                if d in found or prune is not None and not prune(i, d, prefix):
+                    continue
+                descend(i, d)
+                g = extend(i + 1, prefix + [d])
+                word.clear()
+                if g is not None:
+                    _append_gen(chain, g, i)
+    finally:
+        sys.setrecursionlimit(limit)
     # extend refers to itself through its closure; emptying that cell frees
     # the group's chain now rather than at the next cyclic collection
     del extend

@@ -117,3 +117,21 @@ def test_every_slot_is_read():
              for name in ast.literal_eval(node.value)]
     assert ("Perm", "_inv") in slots and ("_Level", "_done") in slots
     assert [slot for slot in slots if slot[1] not in read] == []
+
+
+def test_chain_trees_have_one_writer():
+    # a chain's trees grow only as _append_gen files a generator, in place;
+    # perms.py stores an attribute named tree only where a level is made:
+    # _Level.__init__ and rebase's relabeled copy
+    writers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "tree"
+                    and isinstance(child.ctx, ast.Store)):
+                writers.add(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse((ROOT / "src" / "permatch" / "perms.py").read_text(encoding="utf-8")), ())
+    assert writers == {"_Level.__init__", "PermGroup.rebase.relabeled"}

@@ -5,8 +5,10 @@ cross-checked on degree <= 8 groups by brute-force expansion of the
 generated set, which is feasible up to |S_8| = 40320 elements.
 """
 
+import inspect
 import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -20,6 +22,7 @@ from permatch import (
     PermGroup,
     automorphism_group,
     complete,
+    covering_transformations,
     cycle_system_matching,
     derived_cover,
     hypercube,
@@ -33,6 +36,7 @@ from permatch import (
     near_polygonal_certificate,
     odd_graph,
     orbits,
+    petersen,
     spanning_tree,
     standard_assignment,
     subgroup_search,
@@ -78,6 +82,35 @@ def assert_chain_is_read_off(group):
     read_off = PermGroup._from_strong_generators(group.base, group.generators, group.degree)
     assert ([(lvl.point, lvl.gens, list(lvl.tree.items())) for lvl in group._levels]
             == [(lvl.point, lvl.gens, list(lvl.tree.items())) for lvl in read_off._levels])
+
+
+def assert_chain_is_sound(group):
+    """Each level's tree holds exactly the orbit of its point under its
+    generators, has the point as root, links y: (x, k) only where gens[k]
+    sends x to y, and leads back to the root from every point."""
+    for lvl in group._levels:
+        tree = lvl.tree
+        assert set(tree) == set(orbits(lvl.gens, [lvl.point])[0])
+        assert tree[lvl.point] is None
+        for y, link in tree.items():
+            if link is not None:
+                x, k = link
+                assert lvl.gens[k].images[x] == y
+            for _ in range(len(tree)):
+                if tree[y] is None:
+                    break
+                y = tree[y][0]
+            assert y == lvl.point
+
+
+def chain_snapshot(group):
+    """Each level's point, generator list and tree items in order."""
+    return [(lvl.point, list(lvl.gens), list(lvl.tree.items())) for lvl in group._levels]
+
+
+def k4_cover(p):
+    """The Z_p-homology cover of K_4."""
+    return derived_cover(standard_assignment(complete(4), p, spanning_tree(complete(4))))
 
 
 def star_cover(g, p):
@@ -335,6 +368,44 @@ def test_subgroup_search_inverts_nothing(monkeypatch):
     assert p.inverse().inverse() == p and p * p.inverse() == Perm.identity(8)
 
 
+def test_subgroup_search_depth_is_not_bounded_by_recursion_limit():
+    # the search recurses once per chain level: a 200-level chain needs more
+    # than the 60 frames left here, and the search restores the limit it found
+    n = 200
+    group = PermGroup._from_strong_generators(
+        [2 * i for i in range(n)], [Perm.from_cycles(2 * n, [(2 * i, 2 * i + 1)]) for i in range(n)],
+        2 * n)
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        tight = sys.getrecursionlimit()
+        found = subgroup_search(group, lambda p: True)
+        assert sys.getrecursionlimit() == tight
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found.order() == 2 ** n
+
+
+def test_building_a_chain_walks_no_orbit_again(monkeypatch):
+    # filing a generator extends the trees it joins, so neither Schreier-Sims,
+    # nor a search, nor a read-off walks a basic orbit again (the chains
+    # below took 68 walks when each tree was regrown from its root)
+    calls = []
+    walk = perms.orbits
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(perms, "orbits", counted)
+    s8 = PermGroup(sym_gens(8))
+    a8 = subgroup_search(s8, lambda p: sum(len(c) - 1 for c in p.cycles()) % 2 == 0)
+    lifted = lift_group(k4_cover(3), automorphism_group(complete(4)))
+    aut = automorphism_group(petersen())
+    assert calls == []
+    assert (a8.order(), lifted.order(), aut.order()) == (math.factorial(8) // 2, 24 * 27, 120)
+
+
 def test_orbits_partition_domain():
     rng = random.Random(5)
     for _ in range(10):
@@ -548,6 +619,43 @@ def test_schreier_sims_work_bounds(monkeypatch):
     sifts.clear()
     assert lifted.rebase(matching.vertices()).order() == lifted.order()
     assert len(sifts) <= 10
+
+
+@seed(2017)
+@settings(max_examples=120, deadline=None, database=None)
+@given(groups_with_hints())
+def test_chain_trees_are_sound_and_searches_leave_their_source_alone(case):
+    """Chains from Schreier-Sims, rebase, pointwise_stabilizer and
+    subgroup_search (setwise stabilizer of the hint's points) have sound
+    trees, and none of the last three changes the chain it ran on."""
+    gens, hint = case
+    group = PermGroup(gens)
+    rebased = group.rebase(hint)
+    before = chain_snapshot(group), chain_snapshot(rebased)
+    subset = set(hint)
+    for source in (group, rebased):
+        base = source.base
+
+        def keep(level, img, imgs):
+            return (base[level] in subset) == (img in subset)
+
+        stab = subgroup_search(source, lambda p: all(p.images[x] in subset for x in subset),
+                               prune=keep)
+        for chain in (source, source.rebase(hint[::-1]), source.pointwise_stabilizer(hint), stab):
+            assert_chain_is_sound(chain)
+    assert (chain_snapshot(group), chain_snapshot(rebased)) == before
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: lift_group(k4_cover(3), automorphism_group(complete(4))), 24 * 27),
+    (lambda: covering_transformations(k4_cover(3)), 27),
+    (lambda: automorphism_group(petersen()), 120),
+    (lambda: automorphism_group(hypercube(4)), 384),
+], ids=["lift K4 p3", "covering K4 p3", "Petersen", "Q4"])
+def test_chain_trees_are_sound_on_graph_groups(build, order):
+    group = build()
+    assert group.order() == order
+    assert_chain_is_sound(group)
 
 
 @st.composite
