@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from . import autiso
@@ -227,49 +226,40 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
         return None
     visited: set[frozenset[Edge]] = set()
     inverses = [p.inverse().images for p in group.generators]
-
-    def extend(partial: list[Edge], parent: PermGroup, pool: Iterable[Edge], orbit: dict,
-               e1_orbit: dict | None) -> Matching | None:
-        key = frozenset(partial)
-        if key in visited:
-            return None  # a leaf too: its verdict does not depend on edge order
-        visited.add(key)
-        cand = Matching(partial)
-        # parent's base starts with the ends of partial[:-1], so its levels
-        # are kept and only the last edge's two points cost anything
-        chain = parent.rebase(_ends(cand))
-        stab = _stabilizer(chain, cand)
-        if len(partial) == m:
-            return cand if _report(g, group, cand, stab).passes(mode) else None
-        # pool, the parent's candidates (e1_orbit at the second edge, since
-        # (e0, e) is in the orbit of (e0, e1) exactly when e is in e1_orbit),
-        # already meets every test on partial[:-1]
-        a, b = partial[-1]
-        candidates = [e for e in pool if a not in e and b not in e and (
-            e1_orbit is None or _in_pair_orbit(orbit, inverses, e1_orbit, partial[-1], e))]
-        if len(candidates) < m - len(partial):
-            return None
-        for sub in _edge_orbits(stab, candidates):
-            e = next(iter(sub))
-            if len(partial) == 1 and not _in_pair_orbit(orbit, inverses, sub, e, partial[0]):
-                continue  # no group element can ever swap these two edges
-            if len(partial) == 1:
-                result = extend(partial + [e], chain, sub, orbit, sub)
-            else:
-                result = extend(partial + [e], chain, candidates, orbit, e1_orbit)
-            if result is not None:
-                return result
-        return None
-
-    result = None
     for orbit in _edge_orbits(group, g.edges()):
-        result = extend([next(iter(orbit))], group, orbit, orbit, None)
-        if result is not None:
-            break
-    # extend refers to itself through its closure; emptying that cell frees
-    # the search's state now rather than at the next cyclic collection
-    del extend
-    return result
+        # depth first: (partial, parent's chain, parent's candidates, e1_orbit)
+        stack = [([next(iter(orbit))], group, orbit, None)]
+        while stack:
+            partial, parent, pool, e1_orbit = stack.pop()
+            key = frozenset(partial)
+            if key in visited:
+                continue  # a leaf too: its verdict does not depend on edge order
+            visited.add(key)
+            cand = Matching(partial)
+            # parent's base starts with the ends of partial[:-1], so its levels
+            # are kept and only the last edge's two points cost anything
+            chain = parent.rebase(_ends(cand))
+            stab = _stabilizer(chain, cand)
+            if len(partial) == m:
+                if _report(g, group, cand, stab).passes(mode):
+                    return cand
+                continue
+            # pool, the parent's candidates (e1_orbit at the second edge, since
+            # (e0, e) is in the orbit of (e0, e1) exactly when e is in e1_orbit),
+            # already meets every test on partial[:-1]
+            a, b = partial[-1]
+            candidates = [e for e in pool if a not in e and b not in e and (
+                e1_orbit is None or _in_pair_orbit(orbit, inverses, e1_orbit, partial[-1], e))]
+            if len(candidates) < m - len(partial):
+                continue
+            for sub in reversed(_edge_orbits(stab, candidates)):  # popped in orbit order
+                e = next(iter(sub))
+                if e1_orbit is not None:
+                    stack.append((partial + [e], chain, candidates, e1_orbit))
+                elif _in_pair_orbit(orbit, inverses, sub, e, partial[0]):
+                    # the second edge: some group element can swap it with the first
+                    stack.append((partial + [e], chain, sub, sub))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ membership tests and stabilizers exact and reproducible.  A chain level
 holds a base point, generators and a Schreier tree: no coset
 representatives, and inverses only as sifts compute them (Sims 1971;
 Seress 2003, section 4.1).  Chains come from the one Schreier-Sims
-(PermGroup; voltage.lift_group stops it at a known order), from
+(PermGroup, which stops it at n!; rebase and lift_group, at the order), from
 conjugating another chain (rebase), from the one backtrack over a chain
 (subgroup_search), or are read off strong generators (_from_strong_generators).
 A chain's trees grow only as _append_gen files a generator; orbits answers
@@ -202,16 +202,15 @@ def orbits(gens: Sequence[Perm], seeds: Iterable, act: Callable = operator.getit
 class _Level:
     """A chain level: base point, generators of the subgroup fixing the
     earlier base points (strong generators filed here or deeper, or their
-    conjugates), Schreier tree (see orbits) of the basic orbit under them,
-    grown only by _append_gen, and sifted Schreier generators (_done)."""
+    conjugates), and the Schreier tree (see orbits) of the basic orbit under
+    them, grown only by _append_gen."""
 
-    __slots__ = ("point", "gens", "tree", "_done")
+    __slots__ = ("point", "gens", "tree")
 
     def __init__(self, point: int):
         self.point = point
         self.gens: list[Perm] = []
         self.tree: dict[int, tuple[int, int] | None] = {point: None}
-        self._done: set[tuple[int, int]] = set()
 
 
 def _spell(tree: dict, ims: Sequence[tuple[int, ...]], y, t: tuple[int, ...]) -> tuple[int, ...]:
@@ -243,7 +242,7 @@ def _append_gen(levels: list[_Level], p: Perm, j: int) -> None:
     """File p at level j and every earlier one (creating level j if the
     chain ends there) and extend their trees to the orbits: p from the old
     points, then every generator from the new ones only.  Old links stay, so
-    no coset representative changes, as the record _done needs."""
+    no coset representative changes, as _schreier_sims's record needs."""
     if j == len(levels):
         levels.append(_Level(min(p.moved_points())))
     im = p.images
@@ -261,22 +260,24 @@ def _append_gen(levels: list[_Level], p: Perm, j: int) -> None:
                     queue.append(y)
 
 
-def _schreier_residue(levels: list[_Level], j: int, n0: int) -> tuple[Perm | None, int]:
+def _schreier_residue(levels: list[_Level], done: dict[int, set[tuple[int, int]]],
+                      j: int, n0: int) -> tuple[Perm | None, int]:
     """Sift the Schreier generators u_d * g * u_{d^g}^-1 of levels j, j-1,
-    ..., 0 not sifted before; return the first residue that is not the
-    identity with the level where it stuck, or (None, -1).  At level 0, g
-    is one of the first n0 generators: they generate the group, which is
+    ..., 0 not sifted before: done[i] holds (d, k) for each one of level i
+    sifted with g its k-th generator.  Return the first residue that is not
+    the identity with the level where it stuck, or (None, -1).  At level 0,
+    g is one of the first n0 generators: they generate the group, which is
     all Schreier's lemma asks of g (Seress 2003, section 4.2)."""
     for i in range(j, -1, -1):
-        lvl = levels[i]
-        tree = lvl.tree
-        ims = [g.images for g in lvl.gens]
+        tree = levels[i].tree
+        ims = [g.images for g in levels[i].gens]
+        sifted = done.setdefault(i, set())
         for d in tree:
             u = None
             for k, im in enumerate(ims if i else ims[:n0]):
-                if (d, k) in lvl._done or tree[im[d]] == (d, k):
+                if (d, k) in sifted or tree[im[d]] == (d, k):
                     continue  # sifted before, or u_d * g is u_{d^g}
-                lvl._done.add((d, k))
+                sifted.add((d, k))
                 if u is None:
                     u = _spell(tree, ims, d, tuple(range(len(im))))
                 residue, stuck = _sift(levels, Perm._raw(tuple(map(im.__getitem__, u))), i)
@@ -285,14 +286,12 @@ def _schreier_residue(levels: list[_Level], j: int, n0: int) -> tuple[Perm | Non
     return None, -1
 
 
-def _schreier_sims(levels: list[_Level], gens: Iterable[Perm],
-                   order: int | None = None) -> list[_Level]:
+def _schreier_sims(levels: list[_Level], gens: Iterable[Perm], order: int) -> list[_Level]:
     """Sift gens into the chain, then re-establish the chain condition from
     the deepest level upward (Seress 2003, section 4.2); return the levels.
-    Given an order at least |<gens>|, stop once the product of the tree
-    sizes reaches it: each tree is an orbit of a subgroup of <gens> fixing
-    the earlier base points, so reaching |<gens>| proves the chain complete.
-    """
+    Stop once the product of the tree sizes reaches order, a bound on
+    |<gens>|: each tree is an orbit of a subgroup of <gens> fixing the
+    earlier base points, so reaching it proves the chain complete."""
     for g in gens:
         residue, j = _sift(levels, g)
         if not residue.is_identity():
@@ -302,12 +301,13 @@ def _schreier_sims(levels: list[_Level], gens: Iterable[Perm],
     # the residues filed so far generate <gens>, and a residue stuck at
     # level j leaves every level deeper than j complete
     n0 = len(levels[0].gens) if levels else 0
-    residue, j = _schreier_residue(levels, len(levels) - 1, n0)
+    done: dict[int, set[tuple[int, int]]] = {}
+    residue, j = _schreier_residue(levels, done, len(levels) - 1, n0)
     while residue is not None:
         _append_gen(levels, residue, j)
         if math.prod(len(lvl.tree) for lvl in levels) == order:
             return levels
-        residue, j = _schreier_residue(levels, j, n0)
+        residue, j = _schreier_residue(levels, done, j, n0)
     return levels
 
 
@@ -329,7 +329,7 @@ class PermGroup:
             raise ValueError("generators have mismatched degrees")
         self.degree = degree
         self.generators = gens
-        self._levels = _schreier_sims([], gens)
+        self._levels = _schreier_sims([], gens, math.factorial(degree))
 
     @classmethod
     def _from_chain(cls, generators: Iterable[Perm], degree: int,

@@ -529,3 +529,42 @@ def test_readme_command_block(tmp_path, monkeypatch, capsys):
         reports[report["command"]] = report["result"]
     assert reports["quotient"]["regular_cover"] is True
     assert reports["quotient"]["quotient_graph6"] == graph6_encode(petersen())
+
+
+@pytest.mark.parametrize("params, message", [
+    (["hypercube", "0"], "hypercube needs m >= 1"),
+    (["odd", "1"], "odd graph needs m >= 2"),
+    (["folded-hypercube", "1"], "folded hypercube needs m >= 2"),
+    (["composition", "K3", "0"], "need m >= 1 copies"),
+], ids=["hypercube", "odd", "folded-hypercube", "composition"])
+def test_gen_rejects_out_of_range_parameters(capsys, params, message):
+    code, report, err = run(capsys, ["gen"] + params)
+    assert code == 2 and report is None and "error: " + message in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("(0 1", "malformed cycle notation"),
+    ("(0 99)", "cycle entry 99 out of range"),
+    ("(0 1)(1 2)", "cycles are not disjoint at 1"),
+], ids=["unclosed", "out-of-range", "overlapping"])
+def test_group_file_rejects_bad_cycles(tmp_path, capsys, line, message):
+    path = write_graph(tmp_path, cycle(6))
+    gens = tmp_path / "gens.txt"
+    gens.write_text(line + "\n", encoding="ascii")
+    code, report, err = run(capsys, ["matching", "analyze", path,
+                                     "--edges", "0-1,2-3,4-5", "--group", str(gens)])
+    assert code == 2 and report is None and "error: " + message in err
+
+
+def test_empty_graph_file_is_rejected(tmp_path, capsys):
+    path = tmp_path / "empty.g6"
+    path.write_text("\n", encoding="ascii")
+    code, report, err = run(capsys, ["aut", str(path)])
+    assert code == 2 and report is None and "empty graph file" in err
+
+
+def test_gen_reads_a_graph6_operand(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle(4))
+    code, report, _ = run(capsys, ["gen", "join", path, "K3"])
+    assert code == 0
+    assert graph6_decode(report["result"]["graph6"]) == join(cycle(4), complete(3))

@@ -403,3 +403,19 @@ def test_matching_type():
         validate_matching(cycle(6), Matching([(0, 2)]))
     with pytest.raises(ValueError, match=r"not disjoint at \(1, 2\)"):
         validate_matching(cycle(6), Matching([(0, 1), (1, 2)]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cycle(4).apply_perm(Perm.identity(3)), "degree mismatch"),
+    (lambda: graph6_encode(Graph(258048)), "too large"),
+], ids=["apply-perm", "graph6-encode"])
+def test_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("value", [Perm.identity(2), Graph(2, [(0, 1)]), Matching([(0, 1)])],
+                         ids=["Perm", "Graph", "Matching"])
+def test_values_are_immutable(value):
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, type(value).__slots__[0], None)

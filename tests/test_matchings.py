@@ -582,3 +582,14 @@ def test_stabilizer_chains_are_their_read_off(monkeypatch, mode):
         for entry in matching_catalog(m, mode).entries:
             assert find_matching(entry.graph, None, m, mode) is not None
     assert len(searched) > 50 and max(searched) > 1
+
+
+@pytest.mark.parametrize("predicate", [is_locally_primitive, is_locally_symmetric])
+def test_local_predicates_reject_disconnected_graphs(predicate):
+    with pytest.raises(ValueError, match="connected"):
+        predicate(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_stabilizer_of_the_empty_matching_is_the_group():
+    group = automorphism_group(cycle(6))
+    assert matching_stabilizer(cycle(6), group, Matching([])) is group

@@ -115,7 +115,8 @@ def test_every_slot_is_read():
              if isinstance(node, ast.Assign)
              and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
              for name in ast.literal_eval(node.value)]
-    assert ("Perm", "_inv") in slots and ("_Level", "_done") in slots
+    assert ("Perm", "_inv") in slots and ("_Level", "tree") in slots
+    assert permatch.perms._Level.__slots__ == ("point", "gens", "tree")
     assert [slot for slot in slots if slot[1] not in read] == []
 
 

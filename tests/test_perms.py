@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from permatch import (
     BlockSystem,
+    Graph,
     Matching,
     Perm,
     PermGroup,
@@ -25,6 +26,7 @@ from permatch import (
     covering_transformations,
     cycle_system_matching,
     derived_cover,
+    find_matching,
     hypercube,
     induced_action,
     is_2transitive,
@@ -619,6 +621,17 @@ def test_schreier_sims_work_bounds(monkeypatch):
     sifts.clear()
     assert lifted.rebase(matching.vertices()).order() == lifted.order()
     assert len(sifts) <= 10
+    # PermGroup stops at n!: without that stop, S_9 on 9 points takes 241 sifts
+    # and find_matching on 20 disjoint edges with m = 20 takes 3,259
+    sifts.clear()
+    nine_cycle, transposition = Perm.from_cycles(9, [range(9)]), Perm.from_cycles(9, [(0, 1)])
+    assert PermGroup([nine_cycle, transposition]).order() == math.factorial(9)
+    assert len(sifts) <= 60
+    g = Graph(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    group = automorphism_group(g)
+    sifts.clear()
+    assert len(find_matching(g, group, 20, "permutable")) == 20
+    assert len(sifts) <= 500
 
 
 @seed(2017)
@@ -719,3 +732,26 @@ def test_block_system_type():
     blocks = BlockSystem([[0, 2], [1, 3]])
     assert len(blocks) == 2
     assert BlockSystem(blocks) == blocks  # a block system iterates as its blocks
+
+
+def _intransitive():
+    return PermGroup([Perm.from_cycles(4, [(0, 1)])])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Perm.identity(2) * Perm.identity(3), "degree mismatch"),
+    (lambda: PermGroup([]), "degree required"),
+    (lambda: PermGroup([Perm.identity(2), Perm.identity(3)]), "mismatched degrees"),
+    (lambda: PermGroup(sym_gens(4)).rebase([4]), "out of range"),
+    (lambda: PermGroup(sym_gens(4)).orbit(4), "out of range"),
+    (lambda: minimal_block(PermGroup(sym_gens(4)), (1, 1)), "bad pair"),
+    (lambda: minimal_block(_intransitive(), (0, 1)), "not transitive"),
+    (lambda: is_primitive(_intransitive()), "not transitive"),
+    (lambda: induced_action(PermGroup(sym_gens(4)), [[0, 1], [1, 0]]), "duplicate cells"),
+    (lambda: BlockSystem([[]]), "empty block"),
+], ids=["product", "empty-generators", "generator-degrees", "rebase", "orbit",
+        "block-pair", "block-intransitive", "primitive-intransitive", "duplicate-cells",
+        "empty-block"])
+def test_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

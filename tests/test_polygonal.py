@@ -253,3 +253,8 @@ def test_orbit_partition_shapes():
     trivial = PermGroup([], degree=4)
     parts = BlockSystem(trivial.orbits())
     assert sorted(map(list, parts.blocks)) == [[0], [1], [2], [3]]
+
+
+def test_certificate_needs_a_2_path():
+    with pytest.raises(ValueError, match="no 2-path"):
+        near_polygonal_certificate(complete(2))

@@ -553,3 +553,14 @@ def test_star_matchings_match_per_pair_scan():
                     expected = outcome(per_pair_star_matching, cov, alpha, system)
                     assert outcome(cycle_system_matching, cov, alpha,
                                    CycleSystem(len(cycles[0]), tuple(system))) == expected
+
+
+def test_tree_and_matching_inputs_are_checked():
+    g = cycle(4)
+    with pytest.raises(ValueError, match="tree has wrong size"):
+        VoltageAssignment(g, 5, g.edges(), [])  # n edges: a cycle, no tree
+    tree = spanning_tree(g)
+    (cot,) = [e for e in g.edges() if e not in tree]
+    cover = derived_cover(standard_assignment(g, 2, tree))
+    with pytest.raises(ValueError, match="is not in the tree"):
+        lift_matching_in_tree(cover, Matching([cot]))
