@@ -213,10 +213,10 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
     (e0, e1), which must contain (e1, e0); candidates are pruned
     accordingly.  That orbit is never listed: membership is tested exactly
     through the Schreier tree of the edge orbit of e0 and the orbit of e1
-    under the setwise stabilizer of e0 (see _in_pair_orbit).  Each partial
-    matching's stabilizer is searched on its parent's chain rebased onto its
-    last edge, and its candidates are its parent's that pass the tests on
-    that edge.
+    under the setwise stabilizer of e0 (see _in_pair_orbit).  A partial
+    matching's candidates are its parent's that pass the tests on its last
+    edge; with too few it is dropped, else its stabilizer is searched on its
+    parent's chain rebased onto that edge.
     """
     mode = normalize_mode(mode)
     if m < 1:
@@ -235,6 +235,14 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
             if key in visited:
                 continue  # a leaf too: its verdict does not depend on edge order
             visited.add(key)
+            # pool, the parent's candidates (e1_orbit at the second edge, since
+            # (e0, e) is in the orbit of (e0, e1) exactly when e is in e1_orbit),
+            # meets every test on partial[:-1]; too few drop the node unsearched
+            a, b = partial[-1]
+            candidates = [e for e in pool if a not in e and b not in e and (
+                e1_orbit is None or _in_pair_orbit(orbit, inverses, e1_orbit, partial[-1], e))]
+            if len(candidates) < m - len(partial):
+                continue
             cand = Matching(partial)
             # parent's base starts with the ends of partial[:-1], so its levels
             # are kept and only the last edge's two points cost anything
@@ -243,14 +251,6 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
             if len(partial) == m:
                 if _report(g, group, cand, stab).passes(mode):
                     return cand
-                continue
-            # pool, the parent's candidates (e1_orbit at the second edge, since
-            # (e0, e) is in the orbit of (e0, e1) exactly when e is in e1_orbit),
-            # already meets every test on partial[:-1]
-            a, b = partial[-1]
-            candidates = [e for e in pool if a not in e and b not in e and (
-                e1_orbit is None or _in_pair_orbit(orbit, inverses, e1_orbit, partial[-1], e))]
-            if len(candidates) < m - len(partial):
                 continue
             for sub in reversed(_edge_orbits(stab, candidates)):  # popped in orbit order
                 e = next(iter(sub))

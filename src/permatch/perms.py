@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import sys
 from typing import Callable, Iterable, Sequence
 
 
@@ -451,13 +450,15 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
     its orbit of b_i, so they generate H_i and are strong generators of H
     (Seress 2003, chapter 9), so H's chain on the group's base is built as
     the search goes: filing each (_append_gen) extends level i's tree to
-    the orbit of b_i they reach.  A scanned element is carried as the
-    generators along the tree paths it descended, base images are followed
-    point by point, and a whole element is spelled only at a leaf, for test.
-    Generators come deepest level first, in tree order of d.
+    the orbit of b_i they reach.  The search is one loop over a stack of the
+    levels being scanned, each with its tree points left.  A scanned element
+    is carried as the generators along the tree paths it descended, base
+    images are followed point by point, and a whole element is spelled only
+    at a leaf, for test.  Generators come deepest level first, in tree order
+    of d.
     """
     levels = group._levels
-    k, limit = len(levels), sys.getrecursionlimit()
+    k = len(levels)
     base_pts = [lvl.point for lvl in levels]
     chain = [_Level(b) for b in base_pts]
     ident = tuple(range(group.degree))
@@ -465,53 +466,39 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
     # point back to its root and the shallowest level first: the element
     # applies them last to first
     word: list[tuple[int, ...]] = []
-
-    def descend(i: int, d: int) -> None:
-        tree, gens = levels[i].tree, levels[i].gens
-        while tree[d] is not None:
-            d, j = tree[d]
-            word.append(gens[j].images)
-
-    def extend(i: int, imgs: list[int]) -> Perm | None:
-        if i == k:
+    for i in range(k - 1, -1, -1):
+        found, imgs = chain[i].tree, base_pts[:i]
+        # the levels being scanned: (level, its tree points left, len(word) above it)
+        stack = [(i, iter(levels[i].tree), 0)]
+        while stack:
+            j, points, mark = stack[-1]
+            del word[mark:], imgs[j:]
+            for d in points:
+                if j == i and d in found:
+                    continue
+                img = d
+                for im in reversed(word):
+                    img = im[img]
+                if prune is None or prune(j, img, imgs):
+                    break
+            else:
+                stack.pop()
+                continue
+            imgs.append(img)
+            tree, gens = levels[j].tree, levels[j].gens
+            while tree[d] is not None:
+                d, x = tree[d]
+                word.append(gens[x].images)
+            if j + 1 < k:
+                stack.append((j + 1, iter(levels[j + 1].tree), len(word)))
+                continue
             t = ident
             for im in word:
                 t = tuple(map(t.__getitem__, im))
             p = Perm._raw(t)
-            return p if test(p) else None
-        mark = len(word)
-        for d in levels[i].tree:
-            img = d
-            for im in reversed(word):
-                img = im[img]
-            if prune is not None and not prune(i, img, imgs):
-                continue
-            imgs.append(img)
-            descend(i, d)
-            r = extend(i + 1, imgs)
-            del word[mark:]
-            imgs.pop()
-            if r is not None:
-                return r
-        return None
-
-    sys.setrecursionlimit(limit + k)  # extend recurses once per level
-    try:
-        for i in range(k - 1, -1, -1):
-            found, prefix = chain[i].tree, base_pts[:i]
-            for d in levels[i].tree:
-                if d in found or prune is not None and not prune(i, d, prefix):
-                    continue
-                descend(i, d)
-                g = extend(i + 1, prefix + [d])
-                word.clear()
-                if g is not None:
-                    _append_gen(chain, g, i)
-    finally:
-        sys.setrecursionlimit(limit)
-    # extend refers to itself through its closure; emptying that cell frees
-    # the group's chain now rather than at the next cyclic collection
-    del extend
+            if test(p):
+                _append_gen(chain, p, i)
+                del stack[1:]  # back to level i's next point
     return PermGroup._from_chain(chain[0].gens if chain else (), group.degree, chain)
 
 

@@ -30,12 +30,14 @@ from permatch import (
     composition,
     cycle,
     degree_bound_check,
+    derived_cover,
     find_matching,
     hypercube,
     is_2arc_transitive,
     is_arc_transitive,
     is_locally_primitive,
     is_locally_symmetric,
+    lift_group,
     matching_catalog,
     matching_join,
     matching_report,
@@ -44,6 +46,8 @@ from permatch import (
     odd_graph,
     path_graph,
     petersen,
+    spanning_tree,
+    standard_assignment,
 )
 from permatch import matchings
 from closure_oracle import brute_closure
@@ -471,6 +475,20 @@ def test_find_matching_leaves_no_reference_cycle():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("base, p, m, bound", [(complete(4), 13, 4, 4), (complete(5), 3, 5, 8)])
+def test_find_matching_counts_candidates_before_searching(monkeypatch, base, p, m, bound):
+    # a partial matching with fewer candidates than edges still to place is
+    # dropped before its stabilizer search (searching first made 382 and 132
+    # searches on these negatives on the lifted groups of the Z_p covers)
+    cover = derived_cover(standard_assignment(base, p, spanning_tree(base)))
+    lifted = lift_group(cover, automorphism_group(base))
+    calls = []
+    search = matchings._stabilizer
+    monkeypatch.setattr(matchings, "_stabilizer", lambda *args: calls.append(args) or search(*args))
+    assert find_matching(cover.graph, lifted, m, MODE_PERMUTABLE) is None
+    assert 1 <= len(calls) <= bound
 
 
 @st.composite

@@ -371,21 +371,48 @@ def test_subgroup_search_inverts_nothing(monkeypatch):
 
 
 def test_subgroup_search_depth_is_not_bounded_by_recursion_limit():
-    # the search recurses once per chain level: a 200-level chain needs more
-    # than the 60 frames left here, and the search restores the limit it found
+    # the search is one loop over a stack of chain levels: a 200-level chain
+    # runs in the 60 frames left here, and the limit is never changed, not
+    # even while the search runs
     n = 200
     group = PermGroup._from_strong_generators(
         [2 * i for i in range(n)], [Perm.from_cycles(2 * n, [(2 * i, 2 * i + 1)]) for i in range(n)],
         2 * n)
     limit = sys.getrecursionlimit()
+    leaves = 0
+
+    def test(p):
+        nonlocal leaves
+        leaves += 1
+        assert sys.getrecursionlimit() == tight
+        return True
+
     try:
         sys.setrecursionlimit(len(inspect.stack()) + 60)
         tight = sys.getrecursionlimit()
-        found = subgroup_search(group, lambda p: True)
+        found = subgroup_search(group, test)
         assert sys.getrecursionlimit() == tight
     finally:
         sys.setrecursionlimit(limit)
-    assert found.order() == 2 ** n
+    assert found.order() == 2 ** n and leaves == n
+
+
+def test_subgroup_search_visiting_order_is_pinned():
+    # the generators a search returns, in order, recorded from the recursive
+    # search the loop replaced: A_8 in S_8 by parity, and the stabilizer of
+    # the spokes of O_3 under its S_5 action
+    s8 = PermGroup(sym_gens(8))
+    a8 = subgroup_search(s8, lambda p: sum(len(c) - 1 for c in p.cycles()) % 2 == 0)
+    assert [p.images for p in a8.generators] == [
+        (0, 1, 2, 4, 7, 5, 6, 3), (0, 1, 2, 5, 4, 7, 6, 3), (0, 1, 2, 6, 4, 5, 7, 3),
+        (0, 1, 3, 2, 5, 6, 7, 4), (0, 2, 3, 4, 5, 6, 7, 1), (1, 0, 2, 7, 4, 5, 6, 3)]
+    og, og_gens = odd_graph(3)
+    spokes = Matching([(2, 3), (1, 4), (0, 5)])
+    stab = matching_stabilizer(og, PermGroup(og_gens, degree=og.n), spokes)
+    assert [p.images for p in stab.generators] == [
+        (5, 4, 2, 3, 1, 0, 9, 8, 7, 6), (4, 5, 2, 3, 0, 1, 9, 7, 8, 6),
+        (0, 2, 1, 4, 3, 5, 7, 6, 8, 9)]
+    assert stab.order() == 24
 
 
 def test_building_a_chain_walks_no_orbit_again(monkeypatch):

@@ -441,13 +441,14 @@ def test_lift_matching_in_tree():
         assert cov.graph.has_edge(a, b)
         assert cov.fiber_of(a)[1] == (0,) and cov.fiber_of(b)[1] == (0,)
 
-    # a tree that misses a matching edge is rejected
-    cov2 = derived_cover(standard_assignment(g, 2, spanning_tree(g, [(1, 2)])))
-    tree2 = cov2.assignment.tree
-    missing = [e for e in m.edges if (min(e), max(e)) not in tree2]
-    if missing:
-        with pytest.raises(ValueError):
-            lift_matching_in_tree(cov2, m)
+    # a tree that misses a matching edge is rejected: the path 1-2-3-4-5-0
+    # leaves out (0, 1)
+    tree2 = spanning_tree(g, [(1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    cov2 = derived_cover(standard_assignment(g, 2, tree2))
+    missing = [e for e in m.edges if e not in cov2.assignment.tree]
+    assert missing == [(0, 1)]
+    with pytest.raises(ValueError):
+        lift_matching_in_tree(cov2, m)
 
 
 def test_lifted_spanning_matchings_lose_permutability():
