@@ -3,14 +3,15 @@
 Permutations act on the right: x^(g*h) == (x^g)^h.  Groups carry a
 deterministic base and strong generating set, which makes orders,
 membership tests and stabilizers exact and reproducible.  A chain level
-holds a base point, generators and a Schreier tree: no coset
-representatives, and inverses only as sifts compute them (Sims 1971;
-Seress 2003, section 4.1).  Chains come from the one Schreier-Sims
-(PermGroup, which stops it at n!; rebase and lift_group, at the order), from
-conjugating another chain (rebase), from the one backtrack over a chain
-(subgroup_search), or are read off strong generators (_from_strong_generators).
-A chain's trees grow only as _append_gen files a generator; orbits answers
-orbit queries.  Orders are Python ints.
+holds a base point, generators and a Schreier tree, and no coset
+representatives (Sims 1971; Seress 2003, section 4.1): one Schreier-Sims
+run keeps the inverses of those it asks for until it returns.  Chains come
+from that Schreier-Sims (PermGroup, which stops it at n!; rebase and
+lift_group, at the order), from conjugating another chain (rebase), from
+the one backtrack over a chain (subgroup_search), or are read off strong
+generators (_from_strong_generators).  A chain's trees grow only as
+_append_gen files a generator; orbits answers orbit queries.  Orders are
+Python ints.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ def orbits(gens: Sequence[Perm], seeds: Iterable, act: Callable = operator.getit
 
 class _Level:
     """A chain level: base point, generators of the subgroup fixing the
-    earlier base points (strong generators filed here or deeper, or their
-    conjugates), and the Schreier tree (see orbits) of the basic orbit under
-    them, grown only by _append_gen."""
+    earlier base points (strong generators, or their conjugates), and the
+    Schreier tree (see orbits) of the basic orbit under them, grown only by
+    _append_gen."""
 
     __slots__ = ("point", "gens", "tree")
 
@@ -221,9 +222,33 @@ def _spell(tree: dict, ims: Sequence[tuple[int, ...]], y, t: tuple[int, ...]) ->
     return t
 
 
-def _sift(levels: list[_Level], p: Perm, start: int = 0) -> tuple[Perm, int]:
-    """Strip p through the chain, walking each tree back from the image of
-    its root; return (residue, level where it stuck)."""
+def _inverse_rep(reps: dict, lvl: _Level, d: int) -> tuple[int, ...]:
+    """The images of u_d^-1, with u_d the element lvl's tree spells from its
+    root to d.  reps keeps, per level, the inverses asked for so far (and
+    the root's, the identity); the walk from d stops at its nearest kept
+    ancestor x, and u_d^-1 comes from u_x^-1 with one product per link
+    below x: u_y^-1 == gens[k]^-1 * u_x^-1 for a link y: (x, k), which is
+    gens[k]^-1 itself if x is the root.  Only d is kept."""
+    kept = reps.get(lvl)
+    if kept is None:
+        kept = reps[lvl] = {lvl.point: tuple(range(len(lvl.gens[0].images)))}
+    path, y = [], d
+    while y not in kept:
+        y, k = lvl.tree[y]
+        path.append(lvl.gens[k].inverse().images)
+    t = path.pop() if path and y == lvl.point else kept[y]
+    for gi in reversed(path):
+        t = tuple(map(t.__getitem__, gi))
+    kept[d] = t
+    return t
+
+
+def _sift(levels: list[_Level], p: Perm, start: int = 0,
+          reps: dict | None = None) -> tuple[Perm, int]:
+    """Strip p through the chain: at each level, with d the image of its
+    point, multiply by u_d^-1, kept in reps in a Schreier-Sims run (see
+    _inverse_rep) and otherwise walked link by link back to the root;
+    return (residue, level where it stuck)."""
     im = p.images
     for i in range(start, len(levels)):
         lvl = levels[i]
@@ -231,21 +256,24 @@ def _sift(levels: list[_Level], p: Perm, start: int = 0) -> tuple[Perm, int]:
         d = im[lvl.point]
         if d not in tree:
             return Perm._raw(im), i
+        if reps is not None and d != lvl.point:
+            im = tuple(map(_inverse_rep(reps, lvl, d).__getitem__, im))
+            continue
         while tree[d] is not None:
             d, k = tree[d]
             im = tuple(map(gens[k].inverse().images.__getitem__, im))
     return Perm._raw(im), len(levels)
 
 
-def _append_gen(levels: list[_Level], p: Perm, j: int) -> None:
-    """File p at level j and every earlier one (creating level j if the
-    chain ends there) and extend their trees to the orbits: p from the old
-    points, then every generator from the new ones only.  Old links stay, so
-    no coset representative changes, as _schreier_sims's record needs."""
+def _append_gen(levels: list[_Level], p: Perm, i: int, j: int) -> None:
+    """File p at levels i..j (creating level j if the chain ends there) and
+    extend their trees to the orbits: p from the old points, then every
+    generator from the new ones only.  Old links stay, so no coset
+    representative changes, as _schreier_sims's record and reps need."""
     if j == len(levels):
         levels.append(_Level(min(p.moved_points())))
     im = p.images
-    for lvl in levels[:j + 1]:
+    for lvl in levels[i:j + 1]:
         tree, gens, k = lvl.tree, lvl.gens, len(lvl.gens)
         gens.append(p)
         new = {im[x]: (x, k) for x in tree if im[x] not in tree}
@@ -260,53 +288,59 @@ def _append_gen(levels: list[_Level], p: Perm, j: int) -> None:
 
 
 def _schreier_residue(levels: list[_Level], done: dict[int, set[tuple[int, int]]],
-                      j: int, n0: int) -> tuple[Perm | None, int]:
+                      j: int, reps: dict) -> tuple[Perm | None, int, int]:
     """Sift the Schreier generators u_d * g * u_{d^g}^-1 of levels j, j-1,
     ..., 0 not sifted before: done[i] holds (d, k) for each one of level i
-    sifted with g its k-th generator.  Return the first residue that is not
-    the identity with the level where it stuck, or (None, -1).  At level 0,
-    g is one of the first n0 generators: they generate the group, which is
-    all Schreier's lemma asks of g (Seress 2003, section 4.2)."""
+    sifted with g its k-th generator.  u_d is the inverse of the u_d^-1
+    reps keeps (see _inverse_rep), and each Schreier generator then takes
+    one product to spell and one to strip at level i.  Return the first
+    residue that is not the identity with the level whose Schreier
+    generator it came from and the level where it stuck, or (None, -1, -1)."""
     for i in range(j, -1, -1):
         tree = levels[i].tree
         ims = [g.images for g in levels[i].gens]
         sifted = done.setdefault(i, set())
         for d in tree:
             u = None
-            for k, im in enumerate(ims if i else ims[:n0]):
+            for k, im in enumerate(ims):
                 if (d, k) in sifted or tree[im[d]] == (d, k):
                     continue  # sifted before, or u_d * g is u_{d^g}
                 sifted.add((d, k))
                 if u is None:
-                    u = _spell(tree, ims, d, tuple(range(len(im))))
-                residue, stuck = _sift(levels, Perm._raw(tuple(map(im.__getitem__, u))), i)
+                    u = Perm._raw(_inverse_rep(reps, levels[i], d)).inverse().images
+                residue, stuck = _sift(levels, Perm._raw(tuple(map(im.__getitem__, u))), i, reps)
                 if not residue.is_identity():
-                    return residue, stuck
-    return None, -1
+                    return residue, i, stuck
+    return None, -1, -1
 
 
 def _schreier_sims(levels: list[_Level], gens: Iterable[Perm], order: int) -> list[_Level]:
     """Sift gens into the chain, then re-establish the chain condition from
     the deepest level upward (Seress 2003, section 4.2); return the levels.
-    Stop once the product of the tree sizes reaches order, a bound on
-    |<gens>|: each tree is an orbit of a subgroup of <gens> fixing the
-    earlier base points, so reaching it proves the chain complete."""
+    A residue is filed from the level below the one whose Schreier
+    generator gave it (level 0 for gens) down to the level where it stuck:
+    it lies in the group generated at that level and every level above, so
+    they gain no Schreier generators from it, and level 0 holds the
+    residues of gens alone.  reps keeps the inverse coset representatives
+    the run asks for (see _inverse_rep) and is dropped on return.  Stop
+    once the product of the tree sizes reaches order, a bound on |<gens>|:
+    each tree is an orbit of a subgroup of <gens> fixing the earlier base
+    points, so reaching it proves the chain complete."""
+    reps: dict = {}
     for g in gens:
-        residue, j = _sift(levels, g)
+        residue, j = _sift(levels, g, 0, reps)
         if not residue.is_identity():
-            _append_gen(levels, residue, j)
+            _append_gen(levels, residue, 0, j)
             if math.prod(len(lvl.tree) for lvl in levels) == order:
                 return levels
-    # the residues filed so far generate <gens>, and a residue stuck at
-    # level j leaves every level deeper than j complete
-    n0 = len(levels[0].gens) if levels else 0
+    # a residue stuck at level j leaves every level deeper than j complete
     done: dict[int, set[tuple[int, int]]] = {}
-    residue, j = _schreier_residue(levels, done, len(levels) - 1, n0)
+    residue, i, j = _schreier_residue(levels, done, len(levels) - 1, reps)
     while residue is not None:
-        _append_gen(levels, residue, j)
+        _append_gen(levels, residue, i + 1, j)
         if math.prod(len(lvl.tree) for lvl in levels) == order:
             return levels
-        residue, j = _schreier_residue(levels, done, j, n0)
+        residue, i, j = _schreier_residue(levels, done, j, reps)
     return levels
 
 
@@ -345,7 +379,7 @@ class PermGroup:
         # generating set relative to base; each is filed at the first it moves
         levels = [_Level(b) for b in base]
         for g in gens:
-            _append_gen(levels, g, next(i for i, b in enumerate(base) if g.images[b] != b))
+            _append_gen(levels, g, 0, next(i for i, b in enumerate(base) if g.images[b] != b))
         return cls._from_chain(gens, degree, levels)
 
     @property
@@ -374,8 +408,10 @@ class PermGroup:
         point h = x^c keeps L, relabeled by c, if x is L's base point, or
         after c takes on the coset representative of x if x is in L's basic
         orbit; an x that L's generators fix gets a trivial level.  At any
-        other point Schreier-Sims builds the rest of the chain from L's
-        generators conjugated by c.  This chain is left as it was.
+        other point Schreier-Sims builds the rest of the chain from the
+        distinct generators of L and the levels below it (all of them fix
+        the earlier base points) conjugated by c.  This chain is left as it
+        was.
         """
         if any(not (0 <= b < self.degree) for b in base_hint):
             raise ValueError("base hint point out of range")
@@ -411,8 +447,10 @@ class PermGroup:
                 levels[-1].gens = relabeled(lvl).gens
             else:
                 order = math.prod(len(rest.tree) for rest in source[s:])
-                levels += _schreier_sims([_Level(b) for b in base_hint[i:]], relabeled(lvl).gens,
-                                         order)
+                # distinct by identity: one residue is filed at several levels
+                gens = [g if c is ident else Perm._raw(conjugate(g.images))
+                        for g in {id(g): g for rest in source[s:] for g in rest.gens}.values()]
+                levels += _schreier_sims([_Level(b) for b in base_hint[i:]], gens, order)
                 break
         else:
             levels += map(relabeled, source[s:])
@@ -497,7 +535,7 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
                 t = tuple(map(t.__getitem__, im))
             p = Perm._raw(t)
             if test(p):
-                _append_gen(chain, p, i)
+                _append_gen(chain, p, 0, i)
                 del stack[1:]  # back to level i's next point
     return PermGroup._from_chain(chain[0].gens if chain else (), group.degree, chain)
 

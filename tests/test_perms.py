@@ -9,6 +9,7 @@ import inspect
 import math
 import random
 import sys
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -87,10 +88,12 @@ def assert_chain_is_read_off(group):
 
 
 def assert_chain_is_sound(group):
-    """Each level's tree holds exactly the orbit of its point under its
-    generators, has the point as root, links y: (x, k) only where gens[k]
-    sends x to y, and leads back to the root from every point."""
-    for lvl in group._levels:
+    """Each level's generators fix the earlier base points, and its tree
+    holds exactly the orbit of its point under them, has the point as root,
+    links y: (x, k) only where gens[k] sends x to y, and leads back to the
+    root from every point."""
+    for i, lvl in enumerate(group._levels):
+        assert all(g.images[b] == b for g in lvl.gens for b in group.base[:i])
         tree = lvl.tree
         assert set(tree) == set(orbits(lvl.gens, [lvl.point])[0])
         assert tree[lvl.point] is None
@@ -630,10 +633,12 @@ def test_rebase_on_covers_and_read_off_chains(base, p):
 
 
 def test_schreier_sims_work_bounds(monkeypatch):
-    """Sift counts that Schreier's lemma at level 0 and rebase by conjugation
-    keep low: sifting every Schreier generator of level 0 takes 1,511 sifts
-    to build S_9 on O_5, and rebuilding the Q_3 p = 3 cover's chain on the
-    star vertices by Schreier-Sims takes 114."""
+    """Sift counts that Schreier's lemma at level 0, filing each residue only
+    below the level that found it, and rebase by conjugation keep low:
+    building S_9 on O_5 took 1,511 sifts when every Schreier generator of
+    level 0 was sifted and 377 when each residue was filed at every level
+    down to where it stuck (S_11 on O_6: 1,025); rebuilding the Q_3 p = 3
+    cover's chain on the star vertices by Schreier-Sims takes 114."""
     sifts = []
     sift = perms._sift
 
@@ -643,8 +648,17 @@ def test_schreier_sims_work_bounds(monkeypatch):
 
     _, matching, lifted = star_cover(hypercube(3), 3)
     monkeypatch.setattr(perms, "_sift", counted)
-    assert PermGroup(odd_graph(5)[1]).order() == math.factorial(9)
-    assert len(sifts) <= 450
+    s9 = PermGroup(odd_graph(5)[1])
+    assert s9.order() == math.factorial(9)
+    assert len(sifts) <= 300
+    # rebase starts Schreier-Sims from the generators of the first level it
+    # cannot keep and of every level below: from that level's alone, 230
+    sifts.clear()
+    assert s9.rebase([26, 12, 62]).order() == math.factorial(9)
+    assert len(sifts) <= 100
+    sifts.clear()
+    assert PermGroup(odd_graph(6)[1]).order() == math.factorial(11)
+    assert len(sifts) <= 820
     sifts.clear()
     assert lifted.rebase(matching.vertices()).order() == lifted.order()
     assert len(sifts) <= 10
@@ -684,6 +698,40 @@ def test_chain_trees_are_sound_and_searches_leave_their_source_alone(case):
         for chain in (source, source.rebase(hint[::-1]), source.pointwise_stabilizer(hint), stab):
             assert_chain_is_sound(chain)
     assert (chain_snapshot(group), chain_snapshot(rebased)) == before
+
+
+def test_schreier_sims_on_a_path_tree_needs_no_recursion():
+    # the level-0 tree of a 3,000-cycle is a path of 2,999 links: the coset
+    # representatives a run keeps are composed along it in a loop, and only
+    # the ones the run asks for are kept
+    cycle = Perm.from_cycles(3000, [range(3000)])
+    tracemalloc.start()
+    try:
+        group = PermGroup([cycle])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order() == 3000
+    assert peak <= 2 * 2**20
+
+
+@seed(2017)
+@settings(max_examples=120, deadline=None, database=None)
+@given(groups_with_hints())
+def test_level_generators_generate_the_level_stabilizer(case):
+    """Each level's generators generate the subgroup fixing the earlier
+    base points, whose order is the product of the tree sizes from that
+    level down: rebase's trivial levels and pointwise_stabilizer take a
+    level's generators for that subgroup's."""
+    gens, hint = case
+    n = gens[0].degree
+    group = PermGroup(gens)
+    for chain in (group, group.rebase(hint), group.pointwise_stabilizer(hint)):
+        sizes = [len(lvl.tree) for lvl in chain._levels]
+        for i, lvl in enumerate(chain._levels):
+            assert len(brute_closure(lvl.gens, n)) == math.prod(sizes[i:]), i
+    fixing = [t for t in brute_closure(gens, n) if all(t[x] == x for x in hint)]
+    assert group.pointwise_stabilizer(hint).order() == len(fixing)
 
 
 @pytest.mark.parametrize("build, order", [
