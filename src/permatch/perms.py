@@ -4,14 +4,14 @@ Permutations act on the right: x^(g*h) == (x^g)^h.  Groups carry a
 deterministic base and strong generating set, which makes orders,
 membership tests and stabilizers exact and reproducible.  A chain level
 holds a base point, generators and a Schreier tree, and no coset
-representatives (Sims 1971; Seress 2003, section 4.1): one Schreier-Sims
-run keeps the inverses of those it asks for until it returns.  Chains come
-from that Schreier-Sims (PermGroup, which stops it at n!; rebase and
-lift_group, at the order), from conjugating another chain (rebase), from
-the one backtrack over a chain (subgroup_search), or are read off strong
-generators (_from_strong_generators).  A chain's trees grow only as
-_append_gen files a generator; orbits answers orbit queries.  Orders are
-Python ints.
+representatives (Sims 1971; Seress 2003, section 4.1): a Schreier-Sims
+run or a membership test strips through the inverses of those it asks
+for, kept until it returns.  Chains come from that Schreier-Sims
+(PermGroup, which stops it at n!; rebase and lift_group, at the order),
+from conjugating another chain (rebase), from the one backtrack over a
+chain (subgroup_search), or are read off strong generators
+(_from_strong_generators).  A chain's trees grow only as _append_gen
+files a generator; orbits answers orbit queries.  Orders are Python ints.
 """
 
 from __future__ import annotations
@@ -224,45 +224,38 @@ def _spell(tree: dict, ims: Sequence[tuple[int, ...]], y, t: tuple[int, ...]) ->
 
 def _inverse_rep(reps: dict, lvl: _Level, d: int) -> tuple[int, ...]:
     """The images of u_d^-1, with u_d the element lvl's tree spells from its
-    root to d.  reps keeps, per level, the inverses asked for so far (and
-    the root's, the identity); the walk from d stops at its nearest kept
-    ancestor x, and u_d^-1 comes from u_x^-1 with one product per link
-    below x: u_y^-1 == gens[k]^-1 * u_x^-1 for a link y: (x, k), which is
-    gens[k]^-1 itself if x is the root.  Only d is kept."""
-    kept = reps.get(lvl)
-    if kept is None:
-        kept = reps[lvl] = {lvl.point: tuple(range(len(lvl.gens[0].images)))}
+    root to d != root.  reps, the memo of one run or membership test, keeps
+    per level the inverses asked for so far; the walk from d stops at its
+    nearest kept ancestor x or the root, and u_d^-1 comes from u_x^-1 with
+    one product per link below x: u_y^-1 == gens[k]^-1 * u_x^-1 for a link
+    y: (x, k), or gens[k]^-1 itself if x is the root.  Only d is kept."""
+    kept = reps.setdefault(lvl, {})
     path, y = [], d
-    while y not in kept:
+    while y != lvl.point and y not in kept:
         y, k = lvl.tree[y]
         path.append(lvl.gens[k].inverse().images)
-    t = path.pop() if path and y == lvl.point else kept[y]
+    t = path.pop() if y == lvl.point else kept[y]
     for gi in reversed(path):
         t = tuple(map(t.__getitem__, gi))
     kept[d] = t
     return t
 
 
-def _sift(levels: list[_Level], p: Perm, start: int = 0,
-          reps: dict | None = None) -> tuple[Perm, int]:
-    """Strip p through the chain: at each level, with d the image of its
-    point, multiply by u_d^-1, kept in reps in a Schreier-Sims run (see
-    _inverse_rep) and otherwise walked link by link back to the root;
-    return (residue, level where it stuck)."""
-    im = p.images
+def _sift(levels: list[_Level], im: tuple[int, ...], start: int,
+          reps: dict) -> tuple[tuple[int, ...], int]:
+    """Strip the images im through levels start, start+1, ...: at each
+    level, with d the image of its point, multiply by the u_d^-1 kept in
+    reps, the memo of one Schreier-Sims run or one membership test (see
+    _inverse_rep); return (residue images, level where it stuck).  Only a
+    residue that passes every level can be the identity."""
     for i in range(start, len(levels)):
         lvl = levels[i]
-        tree, gens = lvl.tree, lvl.gens
         d = im[lvl.point]
-        if d not in tree:
-            return Perm._raw(im), i
-        if reps is not None and d != lvl.point:
+        if d not in lvl.tree:
+            return im, i
+        if d != lvl.point:
             im = tuple(map(_inverse_rep(reps, lvl, d).__getitem__, im))
-            continue
-        while tree[d] is not None:
-            d, k = tree[d]
-            im = tuple(map(gens[k].inverse().images.__getitem__, im))
-    return Perm._raw(im), len(levels)
+    return im, len(levels)
 
 
 def _append_gen(levels: list[_Level], p: Perm, i: int, j: int) -> None:
@@ -288,33 +281,33 @@ def _append_gen(levels: list[_Level], p: Perm, i: int, j: int) -> None:
 
 
 def _schreier_residue(levels: list[_Level], done: dict[int, set[tuple[int, int]]],
-                      j: int, reps: dict) -> tuple[Perm | None, int, int]:
+                      j: int, reps: dict, ident: tuple[int, ...]) -> tuple[Perm | None, int, int]:
     """Sift the Schreier generators u_d * g * u_{d^g}^-1 of levels j, j-1,
     ..., 0 not sifted before: done[i] holds (d, k) for each one of level i
-    sifted with g its k-th generator.  u_d is the inverse of the u_d^-1
-    reps keeps (see _inverse_rep), and each Schreier generator then takes
-    one product to spell and one to strip at level i.  Return the first
-    residue that is not the identity with the level whose Schreier
-    generator it came from and the level where it stuck, or (None, -1, -1)."""
+    sifted with g its k-th generator.  u_d is ident at the root and
+    otherwise the inverse of the u_d^-1 reps keeps (see _inverse_rep), so
+    each Schreier generator takes one product to spell and one to strip at
+    level i.  Return the first residue other than ident, the level whose
+    Schreier generator gave it and the level where it stuck, or (None, -1, -1)."""
     for i in range(j, -1, -1):
-        tree = levels[i].tree
-        ims = [g.images for g in levels[i].gens]
+        lvl = levels[i]
+        tree, ims = lvl.tree, [g.images for g in lvl.gens]
         sifted = done.setdefault(i, set())
         for d in tree:
-            u = None
+            u = ident if d == lvl.point else None
             for k, im in enumerate(ims):
                 if (d, k) in sifted or tree[im[d]] == (d, k):
                     continue  # sifted before, or u_d * g is u_{d^g}
                 sifted.add((d, k))
                 if u is None:
-                    u = Perm._raw(_inverse_rep(reps, levels[i], d)).inverse().images
-                residue, stuck = _sift(levels, Perm._raw(tuple(map(im.__getitem__, u))), i, reps)
-                if not residue.is_identity():
-                    return residue, i, stuck
+                    u = Perm._raw(_inverse_rep(reps, lvl, d)).inverse().images
+                residue, stuck = _sift(levels, tuple(map(im.__getitem__, u)), i, reps)
+                if residue != ident:
+                    return Perm._raw(residue), i, stuck
     return None, -1, -1
 
 
-def _schreier_sims(levels: list[_Level], gens: Iterable[Perm], order: int) -> list[_Level]:
+def _schreier_sims(levels: list[_Level], gens: Sequence[Perm], order: int) -> list[_Level]:
     """Sift gens into the chain, then re-establish the chain condition from
     the deepest level upward (Seress 2003, section 4.2); return the levels.
     A residue is filed from the level below the one whose Schreier
@@ -322,25 +315,27 @@ def _schreier_sims(levels: list[_Level], gens: Iterable[Perm], order: int) -> li
     it lies in the group generated at that level and every level above, so
     they gain no Schreier generators from it, and level 0 holds the
     residues of gens alone.  reps keeps the inverse coset representatives
-    the run asks for (see _inverse_rep) and is dropped on return.  Stop
+    the run asks for (see _inverse_rep) and is dropped on return; residues
+    are compared with one identity, and only filed ones become Perms.  Stop
     once the product of the tree sizes reaches order, a bound on |<gens>|:
     each tree is an orbit of a subgroup of <gens> fixing the earlier base
     points, so reaching it proves the chain complete."""
     reps: dict = {}
+    ident = tuple(range(gens[0].degree if gens else 0))
     for g in gens:
-        residue, j = _sift(levels, g, 0, reps)
-        if not residue.is_identity():
-            _append_gen(levels, residue, 0, j)
+        residue, j = _sift(levels, g.images, 0, reps)
+        if residue != ident:
+            _append_gen(levels, Perm._raw(residue), 0, j)
             if math.prod(len(lvl.tree) for lvl in levels) == order:
                 return levels
     # a residue stuck at level j leaves every level deeper than j complete
     done: dict[int, set[tuple[int, int]]] = {}
-    residue, i, j = _schreier_residue(levels, done, len(levels) - 1, reps)
+    residue, i, j = _schreier_residue(levels, done, len(levels) - 1, reps, ident)
     while residue is not None:
         _append_gen(levels, residue, i + 1, j)
         if math.prod(len(lvl.tree) for lvl in levels) == order:
             return levels
-        residue, i, j = _schreier_residue(levels, done, j, reps)
+        residue, i, j = _schreier_residue(levels, done, j, reps, ident)
     return levels
 
 
@@ -398,7 +393,8 @@ class PermGroup:
         return math.prod(len(lvl.tree) for lvl in self._levels)
 
     def __contains__(self, p: Perm) -> bool:
-        return p.degree == self.degree and _sift(self._levels, p)[0].is_identity()
+        ident = tuple(range(self.degree))
+        return p.degree == self.degree and _sift(self._levels, p.images, 0, {})[0] == ident
 
     def rebase(self, base_hint: Sequence[int]) -> "PermGroup":
         """The same group and generators, with a base starting with base_hint.

@@ -675,6 +675,29 @@ def test_schreier_sims_work_bounds(monkeypatch):
     assert len(sifts) <= 500
 
 
+def test_sifts_build_no_identity_per_residue(monkeypatch):
+    """Schreier-Sims compares residues with one identity tuple per run, and
+    a membership test with one per test: Perm.is_identity, which builds a
+    fresh identity on every call, is never asked."""
+    calls = []
+    is_identity = Perm.is_identity
+
+    def counted(self):
+        calls.append(self)
+        return is_identity(self)
+
+    cover, base = k4_cover(3), automorphism_group(complete(4))
+    monkeypatch.setattr(Perm, "is_identity", counted)
+    s9 = PermGroup(odd_graph(5)[1])
+    lifted = lift_group(cover, base)
+    a, b = s9.generators[:2]
+    assert a * b in s9 and Perm.from_cycles(s9.degree, [(0, 1)]) not in s9
+    assert lifted.generators[0] * lifted.generators[-1] in lifted
+    assert Perm.identity(lifted.degree) in lifted
+    assert s9.order() == math.factorial(9) and lifted.order() == 24 * 27
+    assert calls == []
+
+
 @seed(2017)
 @settings(max_examples=120, deadline=None, database=None)
 @given(groups_with_hints())
@@ -697,13 +720,19 @@ def test_chain_trees_are_sound_and_searches_leave_their_source_alone(case):
                                prune=keep)
         for chain in (source, source.rebase(hint[::-1]), source.pointwise_stabilizer(hint), stab):
             assert_chain_is_sound(chain)
+    # membership strips through a memo of its own and leaves both chains alone
+    closure = brute_closure(gens, gens[0].degree)
+    outside = next((Perm(t) for t in permutations(range(gens[0].degree)) if t not in closure), None)
+    for source in (group, rebased):
+        assert all(g in source for g in gens) and gens[0] * gens[-1] in source
+        assert outside is None or outside not in source
     assert (chain_snapshot(group), chain_snapshot(rebased)) == before
 
 
 def test_schreier_sims_on_a_path_tree_needs_no_recursion():
     # the level-0 tree of a 3,000-cycle is a path of 2,999 links: the coset
-    # representatives a run keeps are composed along it in a loop, and only
-    # the ones the run asks for are kept
+    # representatives a run or a membership test keeps are composed along it
+    # in a loop, and only the ones it asks for are kept
     cycle = Perm.from_cycles(3000, [range(3000)])
     tracemalloc.start()
     try:
@@ -713,6 +742,9 @@ def test_schreier_sims_on_a_path_tree_needs_no_recursion():
         tracemalloc.stop()
     assert group.order() == 3000
     assert peak <= 2 * 2**20
+    # the transposition sends the root 0 to 2999, the far end of the path
+    assert cycle * cycle in group
+    assert Perm.from_cycles(3000, [(0, 2999)]) not in group
 
 
 @seed(2017)
