@@ -67,9 +67,9 @@ def matching_stabilizer(g: Graph, group: PermGroup, matching: Matching) -> PermG
     """The subgroup of group mapping the edge set of the matching onto itself.
 
     Raises ValueError unless the matching is a matching of g and every
-    generator of the group is an automorphism of g.  The search runs on the
-    group rebased onto the matched vertices pair by pair (see _stabilizer).
-    For a single edge this is the setwise stabilizer of its two vertices.
+    generator of the group is an automorphism of g.  For a single edge this
+    is the setwise stabilizer of its two vertices.  Only the matched
+    vertices' levels of the rebased chain are searched (see _stabilizer).
     """
     validate_matching(g, matching)
     check_group_action(g, group)
@@ -85,25 +85,23 @@ def _ends(matching: Matching) -> list[int]:
 
 def _stabilizer(chain: PermGroup, matching: Matching) -> PermGroup:
     """matching_stabilizer unchecked, on a chain whose base starts with
-    _ends(matching).  Backtrack over that chain: a branch dies as soon as a
+    _ends(matching).  Its levels past the 2m ends fix every matched vertex
+    and are kept; the first 2m are backtracked, a branch dying as soon as a
     matched vertex heads outside the matching or b_j's image is not the
-    partner of a_j's.
+    partner of a_j's, so every leaf maps M onto M.  The kept levels'
+    generators join each searched level; they fix its tree (matched points).
     """
     partner = matching.partner_map()
-    ends = len(partner)
+    head, tail = chain._levels[:len(partner)], chain._levels[len(partner):]
 
     def keep(level: int, img: int, imgs: list[int]) -> bool:
-        # the 2m ends were sent onto the 2m matched vertices, so later images miss them
-        return level >= ends or img in partner and (
-            level % 2 == 0 or partner[img] == imgs[level - 1])
+        return img in partner and (level % 2 == 0 or partner[img] == imgs[level - 1])
 
-    keys, edges = matching.edge_keys(), matching.edges
-
-    def test(p: Perm) -> bool:
-        im = p.images
-        return all(frozenset((im[a], im[b])) in keys for a, b in edges)
-
-    return subgroup_search(chain, test, prune=keep)
+    levels = subgroup_search(PermGroup._from_chain(chain.generators, chain.degree, head),
+                             lambda p: True, prune=keep)._levels
+    for lvl in levels:
+        lvl.gens += tail[0].gens if tail else ()
+    return PermGroup._from_chain(levels[0].gens, chain.degree, levels + tail)
 
 
 @dataclass(frozen=True)
@@ -215,8 +213,8 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
     through the Schreier tree of the edge orbit of e0 and the orbit of e1
     under the setwise stabilizer of e0 (see _in_pair_orbit).  A partial
     matching's candidates are its parent's that pass the tests on its last
-    edge; with too few it is dropped, else its stabilizer is searched on its
-    parent's chain rebased onto that edge.
+    edge; with too few it is dropped, else its parent's chain is rebased
+    onto that edge and its stabilizer searched on the matched levels only.
     """
     mode = normalize_mode(mode)
     if m < 1:

@@ -489,7 +489,8 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
     is carried as the generators along the tree paths it descended, base
     images are followed point by point, and a whole element is spelled only
     at a leaf, for test.  Generators come deepest level first, in tree order
-    of d.
+    of d.  The chain may be the leading levels of a chain whose later levels
+    lie in H, and it then returns H's leading levels.
     """
     levels = group._levels
     k = len(levels)

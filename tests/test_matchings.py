@@ -51,7 +51,7 @@ from permatch import (
 )
 from permatch import matchings
 from closure_oracle import brute_closure
-from test_perms import assert_chain_is_read_off
+from test_perms import assert_chain_is_read_off, assert_chain_is_sound
 import subgroup_oracle
 
 
@@ -106,14 +106,19 @@ def test_stabilizer_matches_brute_force():
         (hypercube(3), Matching([(0, 1), (2, 6), (5, 7)])),
         (hypercube(3), Matching([(0, 1), (2, 3), (4, 5), (6, 7)])),
         (complete(7), Matching([(0, 1), (2, 3), (4, 5)])),
+        (complete(7), Matching([(0, 1), (2, 3)])),  # its kept levels are S_3's
     ]
     for g, m in cases:
         grp = automorphism_group(g)
-        stab = matching_stabilizer(g, grp, m)
-        assert stab.order() == brute_stab_order(g, m)
+        order = brute_stab_order(g, m)
         keys = {frozenset(e) for e in m.edges}
-        for p in stab.generators:
-            assert {frozenset((p.apply(a), p.apply(b))) for a, b in m.edges} == keys
+        # the same group again, its chain (and so the kept levels) from Schreier-Sims
+        for group in (grp, PermGroup(grp.generators, degree=g.n)):
+            stab = matching_stabilizer(g, group, m)
+            assert stab.order() == order
+            assert_chain_is_sound(stab)
+            for p in stab.generators:
+                assert {frozenset((p.apply(a), p.apply(b))) for a, b in m.edges} == keys
 
 
 def test_alternating_matching_of_hexagon():
@@ -584,8 +589,8 @@ def test_search_agrees_with_the_route_before_orbit_pruning(mode):
 
 @pytest.mark.parametrize("mode", [MODE_PERMUTABLE, MODE_TWO_TRANSITIVE])
 def test_stabilizer_chains_are_their_read_off(monkeypatch, mode):
-    """Every stabilizer find_matching searches on the catalog entries for
-    m <= 5 has the chain read off its own base and generators."""
+    """Every stabilizer search find_matching runs on the catalog entries
+    for m <= 5 returns the chain read off its own base and generators."""
     searched = []
     search = matchings.subgroup_search
 
@@ -600,6 +605,31 @@ def test_stabilizer_chains_are_their_read_off(monkeypatch, mode):
         for entry in matching_catalog(m, mode).entries:
             assert find_matching(entry.graph, None, m, mode) is not None
     assert len(searched) > 50 and max(searched) > 1
+
+
+def test_stabilizer_keeps_the_levels_past_the_matched_vertices(monkeypatch):
+    """Every stabilizer has as many levels as the chain it was searched on,
+    and its levels past the 2m matched vertices are that chain's own."""
+    calls = []
+    stabilizer = matchings._stabilizer
+
+    def checked(chain, matching):
+        stab = stabilizer(chain, matching)
+        ends = 2 * len(matching)
+        assert len(stab._levels) == len(chain._levels)
+        assert all(a is b for a, b in zip(stab._levels[ends:], chain._levels[ends:]))
+        calls.append(len(chain._levels) - ends)
+        return stab
+
+    monkeypatch.setattr(matchings, "_stabilizer", checked)
+    for mode in (MODE_PERMUTABLE, MODE_TWO_TRANSITIVE):
+        for m in range(2, 6):
+            for entry in matching_catalog(m, mode).entries:
+                assert find_matching(entry.graph, None, m, mode) is not None
+    k7 = complete(7)
+    stab = matching_stabilizer(k7, automorphism_group(k7), Matching([(0, 1), (2, 3)]))
+    assert stab.order() == 8 * 6
+    assert len(calls) > 50 and max(calls) > 0
 
 
 @pytest.mark.parametrize("predicate", [is_locally_primitive, is_locally_symmetric])

@@ -754,16 +754,25 @@ def test_level_generators_generate_the_level_stabilizer(case):
     """Each level's generators generate the subgroup fixing the earlier
     base points, whose order is the product of the tree sizes from that
     level down: rebase's trivial levels and pointwise_stabilizer take a
-    level's generators for that subgroup's."""
+    level's generators for that subgroup's, and a matching stabilizer adds
+    the generators of the levels it keeps to those it searched."""
     gens, hint = case
     n = gens[0].degree
     group = PermGroup(gens)
-    for chain in (group, group.rebase(hint), group.pointwise_stabilizer(hint)):
+    # every permutation is an automorphism of K_n: pair the hint's points
+    matching = Matching(zip(hint[0::2], hint[1::2]))
+    stabs = [matching_stabilizer(complete(n), group, matching)] if matching.edges else []
+    for chain in [group, group.rebase(hint), group.pointwise_stabilizer(hint)] + stabs:
         sizes = [len(lvl.tree) for lvl in chain._levels]
         for i, lvl in enumerate(chain._levels):
             assert len(brute_closure(lvl.gens, n)) == math.prod(sizes[i:]), i
-    fixing = [t for t in brute_closure(gens, n) if all(t[x] == x for x in hint)]
+    closure = brute_closure(gens, n)
+    fixing = [t for t in closure if all(t[x] == x for x in hint)]
     assert group.pointwise_stabilizer(hint).order() == len(fixing)
+    keys = matching.edge_keys()
+    onto = [t for t in closure if {frozenset((t[a], t[b])) for a, b in matching} == keys]
+    for stab in stabs:
+        assert stab.order() == len(onto)
 
 
 @pytest.mark.parametrize("build, order", [
