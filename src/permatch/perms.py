@@ -362,7 +362,8 @@ class PermGroup:
     @classmethod
     def _from_chain(cls, generators: Iterable[Perm], degree: int,
                     levels: list[_Level]) -> "PermGroup":
-        # internal: levels must be a complete chain of <generators>
+        # internal: levels must be a complete chain of <generators>, save the head
+        # _stabilizer hands subgroup_search, which reads only its levels and degree
         group = object.__new__(cls)
         group.degree, group.generators, group._levels = degree, tuple(generators), levels
         return group
@@ -397,7 +398,7 @@ class PermGroup:
         return p.degree == self.degree and _sift(self._levels, p.images, 0, {})[0] == ident
 
     def rebase(self, base_hint: Sequence[int]) -> "PermGroup":
-        """The same group and generators, with a base starting with base_hint.
+        """The same group and generators; the base starts with base_hint (repeats dropped).
 
         Base change by conjugation (Seress 2003, section 5.4).  With L the
         next level of this chain and c the conjugator built so far, a hint
@@ -411,6 +412,7 @@ class PermGroup:
         """
         if any(not (0 <= b < self.degree) for b in base_hint):
             raise ValueError("base hint point out of range")
+        base_hint = list(dict.fromkeys(base_hint))
         source, levels, s = self._levels, [], 0  # source[s] is L
         ident = c = cinv = tuple(range(self.degree))
         conj: dict[int, tuple[int, ...]] = {}  # id(t) -> images of c^-1 * t * c
@@ -462,7 +464,7 @@ class PermGroup:
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
         """The subgroup fixing every listed point, via base change."""
-        pts = tuple(points)
+        pts = tuple(dict.fromkeys(points))
         if not pts:
             return self
         tail = self.rebase(pts)._levels[len(pts):]  # a complete chain of its own
@@ -538,17 +540,16 @@ def subgroup_search(group: PermGroup, test: Callable[[Perm], bool],
 
 
 def is_transitive(group: PermGroup) -> bool:
-    return group.degree <= 1 or len(group.orbit(0)) == group.degree
+    """|G : G_(b_0)| = n: the first basic orbit, level 0's tree, has all n
+    points (true in degree <= 1)."""
+    return group.degree <= 1 or [len(lvl.tree) for lvl in group._levels[:1]] == [group.degree]
 
 
 def is_2transitive(group: PermGroup) -> bool:
-    """One orbit on ordered pairs of distinct points (vacuously true in
-    degree at most 1)."""
-    n = group.degree
-    if n <= 1:
-        return True
-    (pairs,) = orbits(group.generators, [(0, 1)], lambda im, t: (im[t[0]], im[t[1]]))
-    return len(pairs) == n * (n - 1)
+    """|G : G_(b_0,b_1)| = n(n - 1): the first two basic orbits have n and
+    n - 1 points, a missing level counting as one (true in degree <= 1)."""
+    sizes = [len(lvl.tree) for lvl in group._levels[:2]] + [1, 1]
+    return group.degree <= 1 or sizes[:2] == [group.degree, group.degree - 1]
 
 
 def _find(parent: list[int], x: int) -> int:

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .graphs import Graph, graph6_encode, is_connected
 from .matchings import _arc_tree, _group_or_aut, _on_tuple, check_group_action
-from .perms import BlockSystem, PermGroup, _spell, induced_action, orbits
+from .perms import BlockSystem, Perm, PermGroup, _spell, induced_action, orbits
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,7 @@ def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> Cycl
         if d == b or any(h.images[d] != d for h in stab):
             continue
         t = _spell(tree, ims, (b, c, d), tuple(range(g.n)))
-        cyc = [a]
-        while t[cyc[-1]] != a:
-            cyc.append(t[cyc[-1]])
+        (cyc,) = orbits([Perm._raw(t)], [a])
         (orbit,) = orbits(group.generators, [_canonical_cycle(tuple(cyc))], _on_cycle)
         system = CycleSystem(len(cyc), tuple(sorted(orbit)))
         if verify_cycle_system(g, system):

@@ -24,7 +24,9 @@ from permatch import (
     PermGroup,
     automorphism_group,
     complete,
+    complete_bipartite,
     covering_transformations,
+    cycle,
     cycle_system_matching,
     derived_cover,
     find_matching,
@@ -39,6 +41,7 @@ from permatch import (
     near_polygonal_certificate,
     odd_graph,
     orbits,
+    path_graph,
     petersen,
     spanning_tree,
     standard_assignment,
@@ -91,9 +94,15 @@ def assert_chain_is_sound(group):
     """Each level's generators fix the earlier base points, and its tree
     holds exactly the orbit of its point under them, has the point as root,
     links y: (x, k) only where gens[k] sends x to y, and leads back to the
-    root from every point."""
+    root from every point.  Where the tree sizes from a level down multiply
+    to at most 5,040, the level's generators generate exactly that many
+    elements, so none generates too little (is_transitive and is_2transitive
+    read the first two levels as the group's and its point stabilizer's)."""
+    sizes = [len(lvl.tree) for lvl in group._levels]
     for i, lvl in enumerate(group._levels):
         assert all(g.images[b] == b for g in lvl.gens for b in group.base[:i])
+        if math.prod(sizes[i:]) <= 5040:
+            assert len(brute_closure(lvl.gens, group.degree)) == math.prod(sizes[i:]), i
         tree = lvl.tree
         assert set(tree) == set(orbits(lvl.gens, [lvl.point])[0])
         assert tree[lvl.point] is None
@@ -478,6 +487,13 @@ def test_orbits_schreier_trees():
 
 
 def test_transitivity_predicates():
+    # degrees 0 and 1 are vacuous; on 2 points only S_2 is transitive
+    for n in range(3):
+        assert is_transitive(PermGroup((), n)) == is_2transitive(PermGroup((), n)) == (n <= 1)
+    s2 = PermGroup([Perm([1, 0])])
+    assert is_transitive(s2) and is_2transitive(s2)
+    trivial = PermGroup((), 5)
+    assert not is_transitive(trivial) and not is_2transitive(trivial)
     c4 = PermGroup([Perm.from_cycles(4, [(0, 1, 2, 3)])])
     assert is_transitive(c4)
     assert not is_2transitive(c4)
@@ -491,26 +507,76 @@ def test_transitivity_predicates():
 
 
 def test_2transitive_matches_pair_orbit_size():
-    rng = random.Random(17)
-    for _ in range(12):
-        degree = rng.randrange(3, 8)
-        gens = random_group(rng, degree, 2)
-        group = PermGroup(gens)
-        if not is_transitive(group):
-            continue
-        pair = (0, group.orbit(0)[1] if len(group.orbit(0)) > 1 else 0)
-        if pair[0] == pair[1]:
-            continue
-        orbit = {pair}
-        frontier = [pair]
+    """is_transitive and is_2transitive, read off a chain's first two
+    levels, agree with walks over the group's generators (the orbit of the
+    first base point, and the orbit of an ordered pair of distinct points)
+    on chains of every kind: Schreier-Sims, rebase (a trivial level, a hint
+    longer than the chain, a conjugation, a repeated point), the stabilizer
+    searches, graph groups, lifts and induced actions."""
+    def walk(gens, start, act):
+        seen, frontier = {start}, [start]
         while frontier:
-            x, y = frontier.pop()
+            x = frontier.pop()
             for g in gens:
-                img = (g.images[x], g.images[y])
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        assert is_2transitive(group) == (len(orbit) == degree * (degree - 1))
+                y = act(g.images, x)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return seen
+
+    answers = set()
+
+    def check(group):
+        n, gens = group.degree, group.generators
+        first = group.base[0] if group.base else 0
+        transitive = n <= 1 or len(walk(gens, first, lambda im, x: im[x])) == n
+        pairs = n <= 1 or len(walk(gens, (0, 1), lambda im, t: (im[t[0]], im[t[1]]))) == n * (n - 1)
+        assert (is_transitive(group), is_2transitive(group)) == (transitive, pairs)
+        answers.add((transitive, pairs))
+
+    def support_perm(rng, n):
+        # a random permutation of a random set of points, fixing the rest
+        support = rng.sample(range(n), rng.randrange(1, n + 1))
+        images = list(range(n))
+        for x, y in zip(support, rng.sample(support, len(support))):
+            images[x] = y
+        return Perm(images)
+
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        group = PermGroup([support_perm(rng, n) for _ in range(rng.randrange(4))], degree=n)
+        chains = [group, group.rebase(rng.sample(range(n), n))]  # hint longer than the chain
+        assert len(chains[1]._levels) == n
+        fixed = [x for x in range(n) if all(g.images[x] == x for g in group.generators)]
+        if fixed:  # a trivial level 0
+            chains.append(group.rebase([fixed[-1]] + rng.sample(range(n), rng.randrange(n))))
+            assert len(chains[-1]._levels[0].tree) == 1
+        if group.base and len(group._levels[0].tree) > 1:  # a conjugation
+            chains.append(group.rebase([max(group._levels[0].tree)]))
+            assert chains[-1].base[0] != group.base[0]
+        hint = rng.sample(range(n), rng.randrange(1, n + 1))
+        chains.append(group.rebase(hint + hint[:1] + hint))  # repeats are dropped
+        assert chains[-1].base[:len(hint)] == tuple(hint)
+        chains.append(group.pointwise_stabilizer(hint[:rng.randrange(3)]))
+        even = subgroup_search(group, lambda p: sum(len(c) - 1 for c in p.cycles()) % 2 == 0)
+        chains.append(even)
+        points = rng.sample(range(n), n)
+        matching = Matching(zip(points[0::2], points[1::2]))
+        if matching.edges:
+            stab = matching_stabilizer(complete(n), group, matching)
+            chains += [stab, induced_action(stab, matching.edges)]
+        for chain in chains:
+            check(chain)
+    for g in (complete(5), petersen(), hypercube(3), cycle(6), path_graph(4),
+              complete_bipartite(2, 3)):
+        check(automorphism_group(g))
+    check(lift_group(k4_cover(3), automorphism_group(complete(4))))
+    check(covering_transformations(k4_cover(3)))
+    for g, m in [(complete(6), [(0, 1), (2, 3), (4, 5)]), (hypercube(3), [(0, 1), (2, 3)]),
+                 (petersen(), [(0, 1)])]:
+        check(induced_action(matching_stabilizer(g, automorphism_group(g), Matching(m)), m))
+    assert answers == {(False, False), (True, False), (True, True)}
 
 
 def test_primitivity_and_blocks():
