@@ -168,10 +168,6 @@ def _on_edge(im: tuple[int, ...], e: Edge) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def _on_tuple(im: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(im.__getitem__, t))
-
-
 def _edge_orbits(group: PermGroup, edges: list[Edge]) -> list[dict[Edge, tuple[Edge, int] | None]]:
     """Orbits of the group on the given edges, which must be closed under
     it, as Schreier trees (see perms.orbits) rooted at their least edges."""
@@ -264,29 +260,31 @@ def find_matching(g: Graph, group: PermGroup | None, m: int,
 # transitivity flavors on graphs
 
 
-def _arc_tree(g: Graph, group: PermGroup, s: int) -> dict | None:
-    """The Schreier tree (see perms.orbits) of the group's orbit on s-arcs
-    (s = 1, 2) through the least s-arc, or None unless that orbit holds
-    every s-arc; {} when g has no s-arc.  A 2-arc (a, b, c) has a != c."""
+def _arc_chain(g: Graph, group: PermGroup, s: int) -> list | None:
+    """The chain rebased onto the least s-arc (s = 1, 2; a 2-arc (a, b, c)
+    has a != c); [] without s-arcs, None unless the arc's orbit, of size
+    |G : G_(arc)|, the product of the first s + 1 tree sizes, holds them all."""
     arcs = ((a, b) for a in range(g.n) for b in g.neighbors(a))
     if s == 2:
         arcs = ((a, b, c) for a, b in arcs for c in g.neighbors(b) if c != a)
     start = next(arcs, None)
     if start is None:
-        return {}
-    (tree,) = orbits(group.generators, [start], _on_tuple)
+        return []
+    levels = group.rebase(start)._levels
     total = sum(g.degree(v) * (g.degree(v) - 1) ** (s - 1) for v in range(g.n))
-    return tree if len(tree) == total else None
+    return levels if math.prod(len(lvl.tree) for lvl in levels[:s + 1]) == total else None
 
 
 def is_arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
-    """One orbit on ordered adjacent pairs (vacuous without edges)."""
-    return _arc_tree(g, _group_or_aut(g, group), 1) is not None
+    """One orbit on ordered adjacent pairs (vacuous without edges): with
+    base (a, b) an arc, |a^G| * |b^(G_a)| is the number of arcs."""
+    return _arc_chain(g, _group_or_aut(g, group), 1) is not None
 
 
 def is_2arc_transitive(g: Graph, group: PermGroup | None = None) -> bool:
-    """One orbit on ordered paths (a, b, c) with a != c."""
-    return _arc_tree(g, _group_or_aut(g, group), 2) is not None
+    """One orbit on ordered paths (a, b, c) with a != c: with base (a, b, c),
+    |a^G| * |b^(G_a)| * |c^(G_ab)| is the number of 2-arcs."""
+    return _arc_chain(g, _group_or_aut(g, group), 2) is not None
 
 
 def _local_image(g: Graph, group: PermGroup, v: int) -> PermGroup:

@@ -454,11 +454,6 @@ class PermGroup:
             levels += map(relabeled, source[s:])
         return PermGroup._from_chain(self.generators, self.degree, levels)
 
-    def orbit(self, point: int) -> tuple[int, ...]:
-        if not (0 <= point < self.degree):
-            raise ValueError("point out of range")
-        return tuple(sorted(orbits(self.generators, [point])[0]))
-
     def orbits(self) -> list[tuple[int, ...]]:
         return [tuple(sorted(tree)) for tree in orbits(self.generators, range(self.degree))]
 

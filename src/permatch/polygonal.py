@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph, graph6_encode, is_connected
-from .matchings import _arc_tree, _group_or_aut, _on_tuple, check_group_action
+from .matchings import _arc_chain, _group_or_aut, check_group_action
 from .perms import BlockSystem, Perm, PermGroup, _spell, induced_action, orbits
 
 
@@ -66,7 +66,7 @@ def verify_cycle_system(g: Graph, system: CycleSystem) -> bool:
 
 
 def _on_cycle(im: tuple[int, ...], cyc: tuple[int, ...]) -> tuple[int, ...]:
-    return _canonical_cycle(_on_tuple(im, cyc))
+    return _canonical_cycle(tuple(map(im.__getitem__, cyc)))
 
 
 def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> CycleSystem | None:
@@ -75,26 +75,27 @@ def near_polygonal_certificate(g: Graph, group: PermGroup | None = None) -> Cycl
     Requires a connected, 2-arc-transitive pair (g, group).  With (a, b, c)
     the least 2-arc and H its pointwise stabilizer, each neighbor d != b of
     c that H fixes, in increasing order, gives one candidate: the cycle
-    through a of an element t_d sending (a, b, c) to (b, c, d), read off
-    the Schreier tree of the 2-arc orbit (see the module docstring for why
-    one element per d suffices).  Returns the first candidate whose orbit
-    is a verified system, or None when no candidate is.
+    through a of an element t_d sending (a, b, c) to (b, c, d), spelled on
+    the chain rebased onto (a, b, c), whose level 3 generates H (see the
+    module docstring for why one element per d suffices).  Returns the
+    first candidate whose orbit is a verified system, or None if none is.
     """
     group = _group_or_aut(g, group)
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    tree = _arc_tree(g, group, 2)
-    if tree is None:
+    levels = _arc_chain(g, group, 2)
+    if levels is None:
         raise ValueError("group is not 2-arc-transitive on the graph")
-    if not tree:
+    if not levels:
         raise ValueError("graph has no 2-path")
-    a, b, c = next(iter(tree))
-    stab = group.pointwise_stabilizer((a, b, c)).generators
-    ims = [p.images for p in group.generators]
+    a, b, c = (lvl.point for lvl in levels[:3])
+    stab = levels[3].gens if len(levels) > 3 else ()
     for d in g.neighbors(c):
         if d == b or any(h.images[d] != d for h in stab):
             continue
-        t = _spell(tree, ims, (b, c, d), tuple(range(g.n)))
+        t = tuple(range(g.n))
+        for lvl, x in zip(levels, (b, c, d)):
+            t = _spell(lvl.tree, [p.images for p in lvl.gens], t.index(x), t)
         (cyc,) = orbits([Perm._raw(t)], [a])
         (orbit,) = orbits(group.generators, [_canonical_cycle(tuple(cyc))], _on_cycle)
         system = CycleSystem(len(cyc), tuple(sorted(orbit)))

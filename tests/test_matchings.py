@@ -31,6 +31,7 @@ from permatch import (
     cycle,
     degree_bound_check,
     derived_cover,
+    empty_graph,
     find_matching,
     hypercube,
     is_2arc_transitive,
@@ -42,6 +43,7 @@ from permatch import (
     matching_join,
     matching_report,
     matching_stabilizer,
+    near_polygonal_certificate,
     normalize_mode,
     odd_graph,
     path_graph,
@@ -402,11 +404,21 @@ def test_arc_transitivity_predicates():
 def test_arc_transitivity_against_element_closure():
     # each predicate holds exactly when every element of the group, listed
     # by closing its generators under products, sends the least s-arc onto
-    # an orbit that is the set of all s-arcs
-    rng = random.Random(2017)
-    for _ in range(300):
-        n = rng.randint(2, 7)
-        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+    # an orbit that is the set of all s-arcs; each group also answers
+    # rebased onto a random hint, so the s-arc's rebase conjugates a chain
+    rng, hints = random.Random(2017), random.Random(31)
+
+    def graphs():
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            yield Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        # no edge; C_4 and an isolated vertex; P_3 is 2-arc- but not
+        # vertex-transitive; K_{1,3}
+        yield from (empty_graph(3), Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+                    path_graph(3), complete_bipartite(1, 3))
+
+    for g in graphs():
+        n = g.n
         aut = automorphism_group(g)
         one = PermGroup(rng.sample(aut.generators, min(1, len(aut.generators))), degree=n)
         arcs = [(a, b) for a, b in permutations(range(n), 2) if g.has_edge(a, b)]
@@ -422,11 +434,32 @@ def test_arc_transitivity_against_element_closure():
                         elements.add(y)
                         frontier.append(y)
             assert len(elements) == grp.order()
+            rebased = grp.rebase(hints.sample(range(n), hints.randint(1, n)))
             for predicate, s_arcs in ((is_arc_transitive, arcs),
                                       (is_2arc_transitive, two_arcs)):
                 orbit = {tuple(e[v] for v in min(s_arcs)) for e in elements} \
                     if s_arcs else set()
-                assert predicate(g, grp) == (orbit == set(s_arcs)), (g.edges(), grp.generators)
+                for chain in (grp, rebased):
+                    assert predicate(g, chain) == (orbit == set(s_arcs)), \
+                        (g.edges(), grp.generators, chain.base)
+
+
+def test_arc_questions_walk_no_arc_orbit(monkeypatch):
+    # s-arc transitivity is read off one rebased chain by orbit-stabilizer,
+    # so none of these calls walks an orbit on s-arcs through matchings.orbits
+    cover = derived_cover(standard_assignment(complete(4), 3, spanning_tree(complete(4))))
+    cases = [(cover.graph, lift_group(cover, automorphism_group(complete(4))), True),
+             (odd_graph(5)[0], PermGroup(odd_graph(5)[1]), False)]
+    witnesses = [find_matching(g, grp, 3, MODE_PERMUTABLE) for g, grp, _ in cases]
+
+    def walk(*args):
+        raise AssertionError("walked an orbit")
+
+    monkeypatch.setattr(matchings, "orbits", walk)
+    for (g, grp, near_polygonal), witness in zip(cases, witnesses):
+        assert is_arc_transitive(g, grp) and is_2arc_transitive(g, grp)
+        assert (near_polygonal_certificate(g, grp) is not None) == near_polygonal
+        assert degree_bound_check(g, grp, witness)
 
 
 def test_degree_bound_check():

@@ -452,11 +452,12 @@ def test_orbits_partition_domain():
     for _ in range(10):
         degree = rng.randrange(3, 10)
         group = PermGroup(random_group(rng, degree, 1))
-        orbits = group.orbits()
-        flat = sorted(x for orb in orbits for x in orb)
+        parts = group.orbits()
+        flat = sorted(x for orb in parts for x in orb)
         assert flat == list(range(degree))
-        for orb in orbits:
-            assert set(group.orbit(orb[0])) == set(orb)
+        for orb in parts:
+            (tree,) = orbits(group.generators, [orb[0]])
+            assert set(tree) == set(orb)
 
 
 def test_orbits_schreier_trees():
@@ -925,13 +926,12 @@ def _intransitive():
     (lambda: PermGroup([]), "degree required"),
     (lambda: PermGroup([Perm.identity(2), Perm.identity(3)]), "mismatched degrees"),
     (lambda: PermGroup(sym_gens(4)).rebase([4]), "out of range"),
-    (lambda: PermGroup(sym_gens(4)).orbit(4), "out of range"),
     (lambda: minimal_block(PermGroup(sym_gens(4)), (1, 1)), "bad pair"),
     (lambda: minimal_block(_intransitive(), (0, 1)), "not transitive"),
     (lambda: is_primitive(_intransitive()), "not transitive"),
     (lambda: induced_action(PermGroup(sym_gens(4)), [[0, 1], [1, 0]]), "duplicate cells"),
     (lambda: BlockSystem([[]]), "empty block"),
-], ids=["product", "empty-generators", "generator-degrees", "rebase", "orbit",
+], ids=["product", "empty-generators", "generator-degrees", "rebase",
         "block-pair", "block-intransitive", "primitive-intransitive", "duplicate-cells",
         "empty-block"])
 def test_input_errors(call, message):

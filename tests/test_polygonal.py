@@ -18,6 +18,7 @@ from permatch import (
     derived_cover,
     folded_hypercube,
     hypercube,
+    lift_group,
     matching_join,
     near_polygonal_certificate,
     odd_graph,
@@ -100,6 +101,13 @@ def reference_certificate(g, group):
     return valid[0] if valid else None
 
 
+def lifted_cover(base, p):
+    """The Z_p-homology cover of base and the lift of its automorphism group:
+    a chain Schreier-Sims built, which the certificate's rebase conjugates."""
+    cover = derived_cover(standard_assignment(base, p, spanning_tree(base)))
+    return cover.graph, lift_group(cover, automorphism_group(base))
+
+
 @pytest.mark.parametrize("g,group", [
     pytest.param(complete(4), None, id="K4"),
     pytest.param(complete(5), None, id="K5"),
@@ -114,6 +122,10 @@ def reference_certificate(g, group):
     pytest.param(paley_incidence(7), None, id="PI7"),
     pytest.param(petersen(), None, id="Petersen"),
     pytest.param(petersen(), petersen_a5(), id="Petersen-A5"),
+    pytest.param(*lifted_cover(complete(4), 2), id="K4-p2"),
+    pytest.param(*lifted_cover(complete(4), 3), id="K4-p3"),
+    pytest.param(*lifted_cover(hypercube(3), 2), id="Q3-p2"),
+    pytest.param(*lifted_cover(complete_bipartite(3, 3), 2), id="K33-p2"),
 ])
 def test_certificate_matches_brute_force_reference(g, group):
     expected = reference_certificate(g, group or automorphism_group(g))
