@@ -30,21 +30,21 @@ class CycleSystem:
 
 
 def _canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    for s in (seq, tuple(reversed(seq))):
-        for r in range(len(s)):
-            rot = s[r:] + s[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
+    """The least rotation or reflection of a cycle that repeats no vertex:
+    rotated to its least vertex, then read forward or backward from it."""
+    i = seq.index(min(seq))
+    fwd = seq[i:] + seq[:i]
+    return min(fwd, fwd[:1] + fwd[:0:-1])
 
 
 def verify_cycle_system(g: Graph, system: CycleSystem) -> bool:
     """True when every 2-path of g lies in exactly one cycle of the system.
 
-    Malformed cycles (repeated vertices, non-edges, wrong length) raise.
+    Malformed cycles (repeated vertices, non-edges, wrong length) raise, so
+    each key collected is a 2-path of g: the system is one exactly when its
+    keys are all distinct and as many as the 2-paths of g.
     """
-    counts: dict[tuple[int, frozenset[int]], int] = {}
+    keys: set[tuple[int, frozenset[int]]] = set()
     for cyc in system.cycles:
         if len(cyc) != system.length or system.length < 3:
             raise ValueError("cycle %r has wrong length" % (cyc,))
@@ -54,15 +54,9 @@ def verify_cycle_system(g: Graph, system: CycleSystem) -> bool:
             prev, nxt = cyc[i - 1], cyc[(i + 1) % len(cyc)]
             if not g.has_edge(mid, nxt):
                 raise ValueError("cycle %r uses a non-edge" % (cyc,))
-            key = (mid, frozenset((prev, nxt)))
-            counts[key] = counts.get(key, 0) + 1
-    for mid in range(g.n):
-        nbrs = g.neighbors(mid)
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if counts.get((mid, frozenset((a, b)))) != 1:
-                    return False
-    return all(v == 1 for v in counts.values())
+            keys.add((mid, frozenset((prev, nxt))))
+    paths = sum(len(row) * (len(row) - 1) // 2 for row in g.adj)
+    return len(keys) == len(system.cycles) * system.length == paths
 
 
 def _on_cycle(im: tuple[int, ...], cyc: tuple[int, ...]) -> tuple[int, ...]:

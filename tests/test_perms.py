@@ -596,6 +596,31 @@ def test_primitivity_and_blocks():
     flip6 = Perm([(6 - i) % 6 for i in range(6)])
     assert not is_primitive(PermGroup([rot6, flip6]))
 
+    def per_point(group):
+        return all(len(minimal_block(group, (0, w))) == 1 for w in range(1, group.degree))
+
+    # C_k wr C_l, then random groups of degree <= 12 whose generators keep
+    # the blocks of k consecutive points (k = 1 or n: no constraint), each
+    # also rebased onto random points
+    groups = [PermGroup([Perm([(x + k) % (k * l) for x in range(k * l)]),
+                         Perm.from_cycles(k * l, [tuple(range(k))])])
+              for k in range(2, 7) for l in range(2, 12 // k + 1)]
+    rng = random.Random(1975)
+    while len(groups) < 400:
+        n = rng.randrange(2, 13)
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            outer = rng.sample(range(n // k), n // k)
+            inner = [rng.sample(range(k), k) for _ in range(n // k)]
+            gens.append(Perm([outer[x // k] * k + inner[x // k][x % k] for x in range(n)]))
+        group = PermGroup(gens)
+        if is_transitive(group):
+            groups += [group, group.rebase(rng.sample(range(n), min(n, 2)))]
+    assert {per_point(group) for group in groups} == {True, False}
+    for group in groups:
+        assert is_primitive(group) == per_point(group), group.generators
+
 
 def test_induced_action_on_cells():
     rot = Perm.from_cycles(4, [(0, 1, 2, 3)])

@@ -1,5 +1,7 @@
 """Cycle systems, near-polygonal certificates, and quotient graphs."""
 
+import random
+
 import pytest
 
 from permatch import (
@@ -30,6 +32,7 @@ from permatch import (
     standard_assignment,
     verify_cycle_system,
 )
+from permatch import polygonal
 from closure_oracle import brute_closure
 
 
@@ -42,21 +45,47 @@ def canon_cycle(cyc):
     return min(s[r:] + s[:r] for s in variants for r in range(len(s)))
 
 
-def petersen_pentagons():
-    g = petersen()
-    seen = set()
-    stack = [(a,) for a in range(10)]
+def all_cycles(g, length):
+    """Every cycle of g with the given length, each once, in canon_cycle form."""
+    found = set()
+    stack = [(a,) for a in range(g.n)]
     while stack:
         path = stack.pop()
         for nxt in g.neighbors(path[-1]):
-            if nxt in path:
-                continue
-            if len(path) == 4:
-                if g.has_edge(nxt, path[0]):
-                    seen.add(canon_cycle(path + (nxt,)))
-            else:
+            if len(path) == length:
+                if nxt == path[0]:
+                    found.add(canon_cycle(path))
+            elif nxt not in path:
                 stack.append(path + (nxt,))
-    return CycleSystem(5, tuple(sorted(seen)))
+    return sorted(found)
+
+
+def reference_verify(g, system):
+    """verify_cycle_system by two passes: count each cycle's 2-paths, then
+    ask that every 2-path of g, and every key counted, was counted once."""
+    counts = {}
+    for cyc in system.cycles:
+        if len(cyc) != system.length or system.length < 3:
+            raise ValueError("cycle %r has wrong length" % (cyc,))
+        if len(set(cyc)) != len(cyc):
+            raise ValueError("cycle %r repeats a vertex" % (cyc,))
+        for i, mid in enumerate(cyc):
+            prev, nxt = cyc[i - 1], cyc[(i + 1) % len(cyc)]
+            if not g.has_edge(mid, nxt):
+                raise ValueError("cycle %r uses a non-edge" % (cyc,))
+            key = (mid, frozenset((prev, nxt)))
+            counts[key] = counts.get(key, 0) + 1
+    for mid in range(g.n):
+        nbrs = g.neighbors(mid)
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                if counts.get((mid, frozenset((a, b)))) != 1:
+                    return False
+    return all(v == 1 for v in counts.values())
+
+
+def petersen_pentagons():
+    return CycleSystem(5, tuple(all_cycles(petersen(), 5)))
 
 
 def petersen_a5():
@@ -97,7 +126,7 @@ def reference_certificate(g, group):
         systems.setdefault(t[c], set()).add(CycleSystem(len(cyc), tuple(sorted(orbit))))
     assert all(len(found) == 1 for found in systems.values())
     valid = [found for _, (found,) in sorted(systems.items())
-             if verify_cycle_system(g, found)]
+             if reference_verify(g, found)]
     return valid[0] if valid else None
 
 
@@ -148,6 +177,67 @@ def test_verify_cycle_system():
         verify_cycle_system(g, CycleSystem(3, ((0, 1, 1),)))
     with pytest.raises(ValueError):
         verify_cycle_system(cycle(4), CycleSystem(3, ((0, 1, 2),)))
+
+
+def outcome(verify, g, system):
+    try:
+        return verify(g, system)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cycle_routines_match_references():
+    rng = random.Random(32)
+    for _ in range(2000):
+        seq = tuple(rng.sample(range(-3, 12), rng.randrange(1, 10)))
+        assert polygonal._canonical_cycle(seq) == canon_cycle(seq)
+
+    # certificates, random cycle sets, and near misses of both: a cycle
+    # dropped, duplicated, duplicated reversed, or swapped for another
+    # cycle, which keeps the key count but re-covers some 2-path
+    named = [complete(4), complete(5), hypercube(3), cycle(6)]
+    cases = [(g, near_polygonal_certificate(g)) for g in named]
+    cases.append((petersen(), near_polygonal_certificate(petersen(), petersen_a5())))
+    cases.append((petersen(), petersen_pentagons()))
+    while len(cases) < 300:
+        n = rng.randrange(3, 8)
+        g = Graph(n, [e for e in ((u, v) for u in range(n) for v in range(u + 1, n))
+                      if rng.random() < 0.6])
+        length = rng.randrange(3, n + 1)
+        pool = all_cycles(g, length)
+        if pool:
+            picks = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+            cases.append((g, CycleSystem(length, tuple(picks))))
+    verdicts = set()
+    for g, system in cases:
+        cycles = list(system.cycles)
+        pool = [c for c in all_cycles(g, system.length) if c not in cycles]
+        i = rng.randrange(len(cycles))
+        variants = [cycles, cycles[:i] + cycles[i + 1:], cycles + [cycles[i]],
+                    cycles + [cycles[i][::-1]],
+                    [c[::-1] if rng.random() < 0.5 else c for c in cycles],
+                    # malformed: too short, a repeated vertex, maybe a non-edge
+                    cycles[:i] + [cycles[i][:-1]] + cycles[i + 1:],
+                    cycles + [(cycles[i][0],) * system.length],
+                    cycles + [tuple(range(system.length))]]
+        if pool:
+            variants.append(cycles[:i] + [rng.choice(pool)] + cycles[i + 1:])
+        for variant in variants:
+            trial = CycleSystem(system.length, tuple(variant))
+            expected = outcome(reference_verify, g, trial)
+            assert outcome(verify_cycle_system, g, trial) == expected, (g, trial)
+            verdicts.add(expected if isinstance(expected, bool) else "raise")
+    assert verdicts == {True, False, "raise"}
+
+
+def test_certificate_tries_only_candidates_h_fixes(monkeypatch):
+    # In K_5 the least 2-arc is (0, 1, 2) and H = <(3 4)> moves the other
+    # two neighbours of 2, so d = 0 gives the one candidate, the triangles.
+    tried = []
+    monkeypatch.setattr(polygonal, "verify_cycle_system",
+                        lambda g, system: tried.append(system) or False)
+    assert near_polygonal_certificate(complete(5)) is None
+    assert [(s.length, s.cycles[0]) for s in tried] == [(3, (0, 1, 2))]
 
 
 def test_certificates_for_complete_graphs():
