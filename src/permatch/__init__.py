@@ -16,6 +16,7 @@ from .autiso import (
     automorphism_group,
     canonical_form,
     canonical_graph6,
+    check_group_action,
 )
 from .classify import (
     Catalog,
@@ -58,7 +59,6 @@ from .matchings import (
     MODE_PERMUTABLE,
     MODE_TWO_TRANSITIVE,
     MatchingReport,
-    check_group_action,
     degree_bound_check,
     find_matching,
     is_2arc_transitive,

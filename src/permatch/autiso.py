@@ -48,6 +48,7 @@ carrying path[i] onto it, or pruned by one; only the identity fixes the path.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -268,15 +269,40 @@ class CanonicalForm:
     graph6: str
 
 
+# group -> (graph, generators) of the last pair check_group_action passed
+_checked: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def check_group_action(g: Graph, group: PermGroup) -> None:
+    """Raise unless every generator of the group is an automorphism of g.
+
+    A passed pair is remembered with the generators it checked, so checking
+    an equal graph against the same group again costs one lookup; another
+    graph, or generators replaced since, are checked in full.
+    """
+    seen = _checked.get(group)
+    if seen is not None and seen[1] is group.generators and seen[0] == g:
+        return
+    if group.degree != g.n:
+        raise ValueError("group degree %d does not match graph order %d"
+                         % (group.degree, g.n))
+    for p in group.generators:
+        if not g.is_automorphism(p):
+            raise ValueError("generator %r is not an automorphism" % p)
+    _checked[group] = (g, group.generators)
+
+
 def automorphism_group(g: Graph) -> PermGroup:
-    """Aut(g), generators verified and sifted through its read-off chain."""
+    """Aut(g), generators verified by check_group_action, which remembers
+    the pair, and sifted through its read-off chain."""
     s = _search_graph(g)
     group = PermGroup._from_strong_generators(s.path, s.autos, g.n)
-    for a in s.autos:
-        if not g.is_automorphism(a):
-            raise AssertionError("search produced a non-automorphism")
-        if a not in group:
-            raise AssertionError("an automorphism does not sift through the chain")
+    try:
+        check_group_action(g, group)
+    except ValueError as exc:
+        raise AssertionError("search produced a non-automorphism") from exc
+    if not all(a in group for a in s.autos):
+        raise AssertionError("an automorphism does not sift through the chain")
     return group
 
 

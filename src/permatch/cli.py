@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import classify as classify_mod
-from .autiso import automorphism_group, canonical_graph6
+from .autiso import automorphism_group, canonical_graph6, check_group_action
 from .graphs import (
     Graph,
     Matching,
@@ -46,15 +46,13 @@ from .graphs import (
     subdivide_non_matching,
 )
 from .matchings import (
-    _group_or_aut,
-    check_group_action,
     find_matching,
     is_2arc_transitive,
     is_arc_transitive,
     matching_report,
     normalize_mode,
 )
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, orbits
 from .polygonal import near_polygonal_certificate, quotient_by_partition
 from .voltage import (
     DEFAULT_COVER_CAP,
@@ -76,7 +74,7 @@ def _read_graph(path: str) -> Graph:
 
 def _read_group(spec: str, g: Graph) -> PermGroup:
     if spec == "auto":
-        return _group_or_aut(g, None)
+        return automorphism_group(g)
     gens = []
     with open(spec, "r", encoding="ascii") as fh:
         for line in fh:
@@ -195,7 +193,7 @@ def _cmd_aut(args: argparse.Namespace) -> tuple[dict, dict, int]:
     result = {
         "order": group.order(),
         "generators": [p.cycle_string() for p in group.generators],
-        "orbits": [sorted(o) for o in group.orbits()],
+        "orbits": [sorted(t) for t in orbits(group.generators, range(g.n))],
         "canonical_graph6": canonical_graph6(g),
     }
     return {"graph": args.graph}, result, 0

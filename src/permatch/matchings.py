@@ -10,10 +10,9 @@ if the induced action is 2-transitive the matching is 2-transitive.  A
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, fields
 
-from . import autiso
+from .autiso import automorphism_group, check_group_action
 from .graphs import Graph, Matching, is_connected, validate_matching
 from .perms import Perm, PermGroup, induced_action, is_2transitive, is_primitive, \
     is_transitive, orbits, subgroup_search
@@ -29,37 +28,11 @@ def normalize_mode(mode: str) -> str:
     return m
 
 
-# group -> (graph, generators) of the last pair check_group_action passed
-_checked: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def check_group_action(g: Graph, group: PermGroup) -> None:
-    """Raise unless every generator of the group is an automorphism of g.
-
-    A passed pair is remembered with the generators it checked, so checking
-    an equal graph against the same group again costs one lookup; another
-    graph, or generators replaced since, are checked in full.
-    """
-    seen = _checked.get(group)
-    if seen is not None and seen[1] is group.generators and seen[0] == g:
-        return
-    if group.degree != g.n:
-        raise ValueError("group degree %d does not match graph order %d"
-                         % (group.degree, g.n))
-    for p in group.generators:
-        if not g.is_automorphism(p):
-            raise ValueError("generator %r is not an automorphism" % p)
-    _checked[group] = (g, group.generators)
-
-
 def _group_or_aut(g: Graph, group: PermGroup | None) -> PermGroup:
-    """The group, checked against g, or else the automorphism group of g,
-    remembered as checked: automorphism_group verifies its generators."""
-    if group is not None:
-        check_group_action(g, group)
-        return group
-    group = autiso.automorphism_group(g)
-    _checked[group] = (g, group.generators)
+    """The group, checked against g, or else the automorphism group of g."""
+    if group is None:
+        return automorphism_group(g)
+    check_group_action(g, group)
     return group
 
 
@@ -297,8 +270,8 @@ def is_locally_primitive(g: Graph, group: PermGroup | None = None) -> bool:
     group = _group_or_aut(g, group)
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    for orbit in group.orbits():
-        image = _local_image(g, group, orbit[0])
+    for tree in orbits(group.generators, range(g.n)):
+        image = _local_image(g, group, next(iter(tree)))
         if not is_transitive(image):
             return False
         if not is_primitive(image):

@@ -454,9 +454,6 @@ class PermGroup:
             levels += map(relabeled, source[s:])
         return PermGroup._from_chain(self.generators, self.degree, levels)
 
-    def orbits(self) -> list[tuple[int, ...]]:
-        return [tuple(sorted(tree)) for tree in orbits(self.generators, range(self.degree))]
-
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
         """The subgroup fixing every listed point, via base change."""
         pts = tuple(dict.fromkeys(points))

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .autiso import check_group_action
 from .graphs import Graph, graph6_encode, is_connected
-from .matchings import _arc_chain, _group_or_aut, check_group_action
+from .matchings import _arc_chain, _group_or_aut
 from .perms import BlockSystem, Perm, PermGroup, _spell, induced_action, orbits
 
 

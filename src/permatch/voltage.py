@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
+from .autiso import check_group_action
 from .graphs import Graph, Matching, _bfs_arcs, _is_prime, is_connected, validate_matching
-from .matchings import check_group_action
 from .perms import Perm, PermGroup, _find, _schreier_sims
 from .polygonal import CycleSystem
 

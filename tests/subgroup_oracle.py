@@ -13,10 +13,10 @@ so the tests compare the two routes.
 
 import math
 
-from permatch import Matching, Perm, PermGroup, induced_action, is_2transitive
+from permatch import Matching, Perm, PermGroup, check_group_action, induced_action, is_2transitive
 from permatch.graphs import validate_matching
-from permatch.matchings import (_edge_orbits, _group_or_aut, _in_pair_orbit, check_group_action,
-                                normalize_mode, MODE_PERMUTABLE)
+from permatch.matchings import (_edge_orbits, _group_or_aut, _in_pair_orbit, normalize_mode,
+                                MODE_PERMUTABLE)
 from permatch.perms import _spell
 
 

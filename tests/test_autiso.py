@@ -363,6 +363,13 @@ def test_aut_group_of_cube_cover_is_the_lifted_group():
     assert all(cov.graph.is_automorphism(a) for a in grp.generators)
 
 
+def test_non_automorphism_from_the_search_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(Graph, "is_automorphism", lambda self, p: False)
+    with pytest.raises(AssertionError, match="^search produced a non-automorphism$") as info:
+        automorphism_group(cycle(7))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_canonical_form_of_petersen_cover_invariant_under_relabeling():
     g = _cover(petersen(), 2).graph  # 640 vertices
     h = relabel(g, random_perm(random.Random(640), g.n))

@@ -446,6 +446,14 @@ def test_internal_key_error_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "error: internal: KeyError: 5\n"
 
 
+def test_non_automorphism_from_the_search_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Graph, "is_automorphism", lambda self, p: False)
+    path = write_graph(tmp_path, cycle(6))
+    code, report, err = run(capsys, ["aut", path])
+    assert code == 3 and report is None
+    assert err == "error: internal: AssertionError: search produced a non-automorphism\n"
+
+
 def test_arcs_command(tmp_path, capsys):
     path = write_graph(tmp_path, petersen())
     code, report, _ = run(capsys, ["arcs", path])

@@ -408,7 +408,8 @@ def test_matching_type():
 @pytest.mark.parametrize("call, message", [
     (lambda: cycle(4).apply_perm(Perm.identity(3)), "degree mismatch"),
     (lambda: graph6_encode(Graph(258048)), "too large"),
-], ids=["apply-perm", "graph6-encode"])
+    (lambda: odd_graph_action(3, Perm.identity(4)), "degree 2m-1"),
+], ids=["apply-perm", "graph6-encode", "odd-graph-action"])
 def test_input_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

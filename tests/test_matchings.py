@@ -492,14 +492,47 @@ def test_degree_bound_check():
 
 
 def test_degree_bound_check_verifies_group_once(monkeypatch):
+    # automorphism_group's group is recorded as checked; another is checked once
     g = cycle(6)
-    grp = automorphism_group(g)
+    aut = automorphism_group(g)
+    grp = PermGroup(aut.generators, degree=g.n)
     checked = []
     original = Graph.is_automorphism
     monkeypatch.setattr(Graph, "is_automorphism",
                         lambda self, p: checked.append(p) or original(self, p))
+    assert degree_bound_check(g, aut, Matching([(0, 1), (2, 3), (4, 5)]))
+    assert checked == []
     assert degree_bound_check(g, grp, Matching([(0, 1), (2, 3), (4, 5)]))
     assert checked == list(grp.generators) and 1 <= len(checked) <= g.n - 1
+
+
+def test_automorphism_group_is_verified_once(monkeypatch):
+    g = complete(4)
+    cov = derived_cover(standard_assignment(g, 3, spanning_tree(g)))
+    checked = []
+    original = Graph.is_automorphism
+
+    def counted(self, p):
+        if self == g:
+            checked.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(Graph, "is_automorphism", counted)
+    aut = automorphism_group(g)
+    assert checked == list(aut.generators) and aut.generators
+    checked.clear()
+
+    # no public call handed that group checks g again
+    matching = Matching([(0, 1), (2, 3)])
+    assert matching_report(g, matching, aut).permutable
+    assert matching_stabilizer(g, aut, matching).order() == 8
+    assert find_matching(g, aut, 2, MODE_PERMUTABLE) is not None
+    assert is_arc_transitive(g, aut) and is_2arc_transitive(g, aut)
+    assert is_locally_primitive(g, aut) and is_locally_symmetric(g, aut)
+    assert degree_bound_check(g, aut, matching)
+    assert near_polygonal_certificate(g, aut) is not None
+    assert lift_group(cov, aut).order() == 24 * 3 ** 3
+    assert checked == []
 
 
 def test_find_matching_leaves_no_reference_cycle():

@@ -25,6 +25,7 @@ from permatch import (
     near_polygonal_certificate,
     odd_graph,
     odd_graph_action,
+    orbits,
     paley_incidence,
     petersen,
     quotient_by_partition,
@@ -290,12 +291,16 @@ def test_certificate_preconditions():
 
 
 def test_certificate_verifies_group_once(monkeypatch):
+    # automorphism_group's group is recorded as checked; another is checked once
     g = complete(4)
-    grp = automorphism_group(g)
+    aut = automorphism_group(g)
+    grp = PermGroup(aut.generators, degree=g.n)
     checked = []
     original = Graph.is_automorphism
     monkeypatch.setattr(Graph, "is_automorphism",
                         lambda self, p: checked.append(p) or original(self, p))
+    assert near_polygonal_certificate(g, aut) is not None
+    assert checked == []
     assert near_polygonal_certificate(g, grp) is not None
     assert checked == list(grp.generators) and 1 <= len(checked) <= g.n - 1
 
@@ -311,7 +316,7 @@ def test_quotient_by_fibers_recovers_base():
 
     # the fibers are exactly the orbits of the covering transformations
     ct = covering_transformations(cov)
-    parts = BlockSystem(ct.orbits())
+    parts = BlockSystem(orbits(ct.generators, range(ct.degree)))
     assert {frozenset(b) for b in parts.blocks} == \
         {frozenset(b) for b in cov.fiber_partition()}
     res2 = quotient_by_partition(cov.graph, parts, ct)
@@ -349,11 +354,11 @@ def test_quotient_validation():
 
 def test_orbit_partition_shapes():
     grp = automorphism_group(petersen())
-    parts = BlockSystem(grp.orbits())
+    parts = BlockSystem(orbits(grp.generators, range(grp.degree)))
     assert len(parts.blocks) == 1 and len(parts.blocks[0]) == 10
 
     trivial = PermGroup([], degree=4)
-    parts = BlockSystem(trivial.orbits())
+    parts = BlockSystem(orbits(trivial.generators, range(4)))
     assert sorted(map(list, parts.blocks)) == [[0], [1], [2], [3]]
 
 
